@@ -12,11 +12,9 @@ from .errors import (
     DimensionMismatch,
     EmptySelection,
     SelbpError,
-    SingularUpdate,
     TrainingDiverged,
 )
 from .gram import BatchTape, gram_explicit, gram_implicit, mean_correlations
-from .linalg import LowerCholesky, cholesky_append, solve_posdef
 from .model import (
     Mlp,
     forward_tape,

@@ -9,10 +9,6 @@ class DimensionMismatch(SelbpError):
     """Array shapes do not agree with what an operation requires."""
 
 
-class SingularUpdate(SelbpError):
-    """A Cholesky rank-one extension hit a non-positive pivot (duplicate atom)."""
-
-
 class EmptySelection(SelbpError):
     """No atom had a positive correlation with the target; nothing to select."""
 

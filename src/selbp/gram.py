@@ -33,8 +33,9 @@ class BatchTape:
     losses: np.ndarray
 
     def __post_init__(self):
-        H = np.asarray(self.H, dtype=np.float64)
-        P = np.asarray(self.P, dtype=np.float64)
+        # Contiguous rows let gram_implicit's A @ A.T run as one symmetric update.
+        H = np.ascontiguousarray(self.H, dtype=np.float64)
+        P = np.ascontiguousarray(self.P, dtype=np.float64)
         losses = np.asarray(self.losses, dtype=np.float64)
         if H.ndim != 2 or P.ndim != 2 or losses.ndim != 1:
             raise DimensionMismatch("H and P must be 2-D, losses 1-D")
@@ -75,10 +76,15 @@ def gram_implicit(tape, with_bias=True):
     With ``with_bias`` the bias-gradient term PP^T is included (a last layer
     with a bias vector); without it only the elementwise product remains.
     """
+    # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
+    # rank-k update with an exactly symmetric result; elementwise products
+    # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
     PPt = tape.P @ tape.P.T
-    HHt = tape.H @ tape.H.T
-    raw = HHt * PPt + PPt if with_bias else HHt * PPt
-    return _symmetrize(raw)
+    K = tape.H @ tape.H.T
+    K *= PPt
+    if with_bias:
+        K += PPt
+    return K
 
 
 def explicit_gradients(tape, with_bias=True):

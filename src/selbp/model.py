@@ -149,18 +149,22 @@ def accuracy(model, X, y):
 def weighted_backward(model, X, y, sel):
     """Weighted gradient estimate (1/|I|) * sum_{i in I} gamma_i * grad_i.
 
+    ``X`` and ``y`` are the whole forward batch; only the selected rows
+    ``X[sel.indices]`` are run forward and backward, so a step costs one
+    forward+backward pass over |I| rows and the other rows are never read.
     With unit weights over the full batch this is the standard minibatch
     mean gradient. Returns a flat parameter-layout vector.
     """
-    zs, a, logits = _forward(model, X)
-    M = logits.shape[0]
-    if (sel.indices >= M).any():
+    X = np.asarray(X)
+    y = np.asarray(y).reshape(-1)
+    if y.shape[0] != X.shape[0]:
+        raise DimensionMismatch("labels do not match the batch size")
+    if (sel.indices >= X.shape[0]).any():
         raise DimensionMismatch("selection index outside the batch")
-    _, _, P = _softmax_stats(logits, y)
+    zs, a, logits = _forward(model, X[sel.indices])
+    _, _, P = _softmax_stats(logits, y[sel.indices])
 
-    coef = np.zeros(M)
-    coef[sel.indices] = sel.weights / sel.size
-    delta = coef[:, None] * P
+    delta = (sel.weights / sel.size)[:, None] * P
 
     grads = [None] * len(model.layers)
     for li in range(len(model.layers) - 1, -1, -1):

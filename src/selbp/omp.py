@@ -1,10 +1,14 @@
 """Orthogonal matching pursuit, Gram-matrix variant.
 
 ``omp_gram`` runs entirely on inner products: the Gram matrix K = A^T A of
-the atoms and the correlation vector t = A^T b with the target. It maintains
-a Cholesky factorization of the active sub-Gram matrix, extended by one row
-per selected atom. ``omp_dense_oracle`` is the textbook implementation on
-explicit vectors, used as the reference in tests.
+the atoms and the correlation vector t = A^T b with the target. It is
+Batch-OMP (Rubinstein, Zibulevsky & Elad 2008): on preallocated arrays it
+grows the Cholesky factor L of the active sub-Gram matrix together with
+Q = K[:, I] L^-T and z = L^-1 t_I, so each new atom costs one matrix-vector
+product and the correlations are updated by one rank-one step. The weights
+are solved for once, at the end (``batch_omp_factor`` is the greedy pass
+up to that solve). ``omp_dense_oracle`` is the textbook
+implementation on explicit vectors, used as the reference in tests.
 
 The greedy step picks the raw (signed) maximum correlation; set
 ``abs_correlation`` for the usual absolute-value criterion.
@@ -13,9 +17,12 @@ The greedy step picks the raw (signed) maximum correlation; set
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, EmptySelection, SingularUpdate
-from .linalg import DEFAULT_PIVOT_TOL, LowerCholesky, cholesky_append, solve_posdef
+from .errors import DimensionMismatch, EmptySelection
+
+# Pivot threshold relative to the new atom's self-inner-product.
+DEFAULT_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,42 +71,63 @@ def omp_gram(K, t, cfg):
     """Greedy sparse approximation of the target given only inner products.
 
     Returns the raw selection (unnormalized weights; may hold fewer than
-    ``max_atoms`` atoms when correlations are exhausted or an append turns
-    singular). Raises :class:`EmptySelection` when no atom correlates with
-    the target above ``residual_tol``.
+    ``max_atoms`` atoms when correlations are exhausted or the next atom's
+    Cholesky pivot falls to ``pivot_tol`` times its self-inner-product,
+    which marks a (near-)duplicate). Raises :class:`EmptySelection` when no
+    atom can be selected.
+    """
+    indices, L, z = batch_omp_factor(K, t, cfg)
+    gamma = solve_triangular(L, z, lower=True, trans="T")
+    return Selection(indices, gamma)
+
+
+def batch_omp_factor(K, t, cfg):
+    """The greedy pass of :func:`omp_gram`, before the final solve.
+
+    Returns ``(indices, L, z)``: the n selected atoms in selection order, the
+    n x n lower Cholesky factor L of ``K[I, I]`` and ``z = L^-1 t[I]``, so the
+    weights are ``L^-T z``. Row j of L is written when atom j enters and never
+    changed afterwards.
     """
     K = np.asarray(K, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     M = t.shape[0]
     if K.shape != (M, M):
         raise DimensionMismatch(f"K has shape {K.shape}, expected ({M}, {M})")
-    if cfg.max_atoms > M:
-        raise DimensionMismatch(f"max_atoms {cfg.max_atoms} exceeds batch size {M}")
+    m = cfg.max_atoms
+    if m > M:
+        raise DimensionMismatch(f"max_atoms {m} exceeds batch size {M}")
 
+    L = np.zeros((m, m))
+    Q = np.zeros((M, m))
+    z = np.zeros(m)
     alpha = t.copy()
     available = np.ones(M, dtype=bool)
     indices = []
-    gamma = np.zeros(0)
-    chol = LowerCholesky()
 
-    while len(indices) < cfg.max_atoms:
+    for n in range(m):
         score = np.abs(alpha) if cfg.abs_correlation else alpha
         masked = np.where(available, score, -np.inf)
         k = int(np.argmax(masked))  # ties break toward the lowest index
         if masked[k] <= cfg.residual_tol:
-            if not indices:
-                raise EmptySelection("no atom correlates with the target")
             break
-        try:
-            chol = cholesky_append(chol, K[indices, k], K[k, k], cfg.pivot_tol)
-        except SingularUpdate:
+        w = Q[k, :n]
+        pivot = K[k, k] - w @ w
+        if pivot <= cfg.pivot_tol * K[k, k]:
             break
+        d = np.sqrt(pivot)
+        L[n, :n] = w
+        L[n, n] = d
+        Q[:, n] = (K[:, k] - Q[:, :n] @ w) / d
+        z[n] = (t[k] - w @ z[:n]) / d
+        alpha -= Q[:, n] * z[n]
         indices.append(k)
         available[k] = False
-        gamma = solve_posdef(chol, t[indices])
-        alpha = t - K[:, indices] @ gamma
 
-    return Selection(np.array(indices), gamma)
+    n = len(indices)
+    if n == 0:
+        raise EmptySelection("no atom correlates with the target")
+    return np.array(indices), L[:n, :n], z[:n]
 
 
 def omp_dense_oracle(atoms, target, m, residual_tol=0.0, abs_correlation=False):

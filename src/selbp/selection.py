@@ -144,9 +144,10 @@ def select_grad_match(K, m, cfg, rng):
     """Gram-OMP selection of the weighted subset matching the mean gradient.
 
     Runs OMP on (K, row means of K), clips negative weights when configured,
-    then rescales so the weights are non-negative and sum to |I|. Falls back
-    to random selection when nothing correlates with the mean gradient or
-    all weights clip to zero.
+    drops the atoms whose weight is zero (they would be backpropagated for
+    nothing), then rescales so the weights sum to |I|. Falls back to random
+    selection when nothing correlates with the mean gradient or all weights
+    clip to zero.
     """
     K = np.asarray(K, dtype=np.float64)
     M = K.shape[0]
@@ -158,8 +159,10 @@ def select_grad_match(K, m, cfg, rng):
     t = mean_correlations(K)
     try:
         raw = omp_gram(K, t, OmpConfig(max_atoms=m, abs_correlation=cfg.abs_correlation))
-        g = normalize_weights(raw.weights, raw.size, cfg.clip_negative)
-        sel = Selection(raw.indices, g)
+        g = np.maximum(raw.weights, 0.0) if cfg.clip_negative else raw.weights
+        keep = g != 0.0
+        g = normalize_weights(g[keep], int(keep.sum()), clip_negative=False)
+        sel = Selection(raw.indices[keep], g)
     except EmptySelection:
         logger.warning("grad_match fell back to random selection")
         return select_random(M, m, rng)

@@ -89,23 +89,24 @@ class MetricsRecord:
 METRICS_FIELDS = [f.name for f in fields(MetricsRecord)]
 
 
+def subset_size(fraction, batch):
+    """Rows to backprop out of a forward batch: round(fraction * batch), at least 1."""
+    return max(1, round(fraction * batch))
+
+
 def resolve_batch_sizes(cfg):
     """(forward batch M, subset size m) for the configured batch mode.
 
     Fixed mode keeps the forward batch at base_batch and shrinks the subset;
     scaled mode inflates the forward batch so the subset stays at base_batch.
     """
-    if cfg.batch_mode == "fixed":
-        M = cfg.base_batch
-        m = round(cfg.fraction * cfg.base_batch)
-    else:
-        M = round(cfg.base_batch / cfg.fraction)
-        m = cfg.base_batch
-    if m < 1:
+    if cfg.batch_mode == "scaled":
+        return round(cfg.base_batch / cfg.fraction), cfg.base_batch
+    if round(cfg.fraction * cfg.base_batch) < 1:
         raise BadFraction(
             f"fraction {cfg.fraction} yields an empty subset for batch {cfg.base_batch}"
         )
-    return M, m
+    return cfg.base_batch, subset_size(cfg.fraction, cfg.base_batch)
 
 
 def cost_units(M, m):
@@ -211,7 +212,9 @@ def run_training(cfg, strategy, dataset, model):
             Xb, yb = X[batch], y[batch]
             Mb = batch.shape[0]
             try:
-                tape = forward_tape(model, Xb, yb)
+                # Overflow surfaces as non-finite values, reported just below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tape = forward_tape(model, Xb, yb)
             except ValueError as exc:  # non-finite activations
                 records.append(
                     MetricsRecord(epoch, step, float("nan"), float("nan"),
@@ -231,7 +234,7 @@ def run_training(cfg, strategy, dataset, model):
                 )
             loss_sum += tape.losses.sum()
 
-            mb = m_nominal if Mb == M else max(1, int(cfg.fraction * Mb))
+            mb = m_nominal if Mb == M else subset_size(cfg.fraction, Mb)
             sel = _select(strategy, tape, mb, buffer, rng)
             grad = weighted_backward(model, Xb, yb, sel)
 

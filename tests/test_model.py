@@ -130,6 +130,29 @@ def test_weighted_backward_arbitrary_weights():
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_weighted_backward_reads_only_selected_rows():
+    rng = np.random.default_rng(13)
+    model = Mlp.init([3, 6, 4], seed=14)
+    X = rng.standard_normal((10, 3))
+    y = rng.integers(0, 4, 10)
+    idx = np.array([7, 2, 5])
+    w = np.array([1.5, 0.25, 1.25])
+    X[np.setdiff1d(np.arange(10), idx)] = np.nan
+    grad = weighted_backward(model, X, y, Selection(idx, w))
+    assert np.isfinite(grad).all()
+    expected = w @ per_example_grads(model, X[idx], y[idx]) / 3
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_weighted_backward_validation():
+    model = Mlp.init([3, 6, 4], seed=15)
+    X = np.zeros((4, 3))
+    with pytest.raises(DimensionMismatch):
+        weighted_backward(model, X, np.zeros(4, dtype=int), Selection([4], [1.0]))
+    with pytest.raises(DimensionMismatch):
+        weighted_backward(model, X, np.zeros(3, dtype=int), Selection([0], [1.0]))
+
+
 def test_per_example_grads_duplicates_identical():
     rng = np.random.default_rng(7)
     model = Mlp.init([3, 4, 2], seed=8)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbp.errors import DimensionMismatch, EmptySelection
 from selbp.gram import BatchTape, explicit_gradients, gram_explicit, mean_correlations
@@ -26,6 +28,16 @@ def test_duplicate_atoms_stop_after_one():
     np.testing.assert_allclose(sel.weights, [1.0])
 
 
+def test_singular_pivot_stops_before_dependent_atom():
+    # Atoms sqrt(2) and 1/sqrt(2) are parallel; t is inconsistent with K, so
+    # the second atom still correlates after the first is in, and only its
+    # zero Cholesky pivot keeps it out.
+    K = np.array([[2.0, 1.0], [1.0, 0.5]])
+    sel = omp_gram(K, np.array([2.0, 1.5]), OmpConfig(max_atoms=2))
+    np.testing.assert_array_equal(sel.indices, [0])
+    np.testing.assert_allclose(sel.weights, [1.0])
+
+
 def test_tie_break_lowest_index():
     sel = omp_gram(np.eye(3), np.full(3, 1 / 3), OmpConfig(max_atoms=1))
     np.testing.assert_array_equal(sel.indices, [0])
@@ -42,6 +54,60 @@ def test_gram_matches_dense_oracle():
         gsel = omp_gram(K, t, OmpConfig(max_atoms=m))
         np.testing.assert_array_equal(dense.indices, gsel.indices)
         assert np.abs(dense.weights - gsel.weights).max() < 1e-8
+
+
+def atom_family(kind, seed, M):
+    """Atoms (rows) that are generic, of rank below M/3, or repeated rows."""
+    rng = np.random.default_rng(seed)
+    D = M + 8
+    if kind == "random":
+        return rng.standard_normal((M, D))
+    if kind == "rank_deficient":
+        r = max(1, M // 3)
+        return rng.standard_normal((M, r)) @ rng.standard_normal((r, D))
+    distinct = rng.standard_normal((max(1, M // 2), D))
+    return distinct[rng.integers(0, distinct.shape[0], M)]
+
+
+def row_labels(A):
+    """One label per distinct row, so repeated atoms compare as equal."""
+    _, labels = np.unique(A, axis=0, return_inverse=True)
+    return labels.reshape(-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["random", "rank_deficient", "duplicate_rows"]),
+    seed=st.integers(0, 2**32 - 1),
+    M=st.integers(2, 40),
+    m_share=st.floats(0.05, 1.0),
+)
+def test_gram_omp_matches_dense_oracle_property(kind, seed, M, m_share):
+    A = atom_family(kind, seed, M)
+    b = A.mean(axis=0)
+    K, t = A @ A.T, A @ b
+    m = max(1, round(m_share * M))
+    rank = np.linalg.matrix_rank(A)
+
+    # Below this, a correlation is rounding noise: the target is matched.
+    tol = 1e-9 * float(np.abs(t).max())
+    dense = omp_dense_oracle(A, b, m, residual_tol=tol)
+    gsel = omp_gram(K, t, OmpConfig(max_atoms=m, residual_tol=tol))
+    labels = row_labels(A)
+    np.testing.assert_array_equal(labels[gsel.indices], labels[dense.indices])
+    np.testing.assert_allclose(gsel.weights, dense.weights, rtol=1e-7, atol=1e-9)
+
+    # The incrementally built factor solves the active normal equations.
+    idx = gsel.indices
+    np.testing.assert_allclose(
+        K[np.ix_(idx, idx)] @ gsel.weights, t[idx], rtol=1e-8, atol=1e-10 * np.abs(t).max()
+    )
+
+    # With no residual tolerance, a dependent atom is refused by its pivot
+    # (or its correlation is already zero): never more atoms than the rank.
+    full = omp_gram(K, t, OmpConfig(max_atoms=m))
+    assert full.size <= min(m, rank)
+    assert np.linalg.matrix_rank(A[full.indices]) == full.size
 
 
 def test_dense_single_atom_equal_to_target():

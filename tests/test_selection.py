@@ -3,8 +3,9 @@ import pytest
 from scipy import stats
 
 from selbp.errors import BadFraction, EmptySelection
-from selbp.gram import BatchTape, gram_implicit
-from selbp.model import Mlp, forward_tape
+from selbp.gram import BatchTape, gram_implicit, mean_correlations
+from selbp.model import Mlp, forward_tape, weighted_backward
+from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
     LossBuffer,
     StrategyConfig,
@@ -215,6 +216,29 @@ def test_grad_match_pad_to_m():
     sel = select_grad_match(K, 3, cfg, np.random.default_rng(12))
     assert sel.size == 3
     assert len(np.unique(sel.indices)) == 3
+
+
+def test_grad_match_drops_atoms_clipped_to_zero():
+    # A batch whose OMP solution at m=8 holds one negative weight.
+    rng = np.random.default_rng(30)
+    model = Mlp.init([4, 8, 3], seed=30)
+    X = rng.standard_normal((16, 4))
+    y = rng.integers(0, 3, 16)
+    K = gram_implicit(forward_tape(model, X, y))
+    raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=8))
+    assert (raw.weights < 0).sum() == 1
+
+    sel = select_grad_match(K, 8, StrategyConfig(kind="grad_match"), rng)
+    assert sel.size == 7
+    assert (sel.weights > 0).all()
+    assert abs(sel.weights.sum() - sel.size) < 1e-12
+    kept = Selection(raw.indices, normalize_weights(raw.weights, raw.size))
+    np.testing.assert_array_equal(sel.indices, raw.indices[raw.weights > 0])
+    np.testing.assert_allclose(
+        weighted_backward(model, X, y, sel),
+        weighted_backward(model, X, y, kept),
+        rtol=1e-12, atol=1e-15,
+    )
 
 
 def test_grad_match_contracts():

@@ -17,6 +17,7 @@ from selbp.trainer import (
     resolve_batch_sizes,
     run_training,
     sgd_update,
+    subset_size,
     write_metrics_csv,
 )
 
@@ -51,6 +52,24 @@ def test_tiny_fraction_rejected():
     cfg = TrainConfig(base_batch=4, fraction=0.01, batch_mode="fixed")
     with pytest.raises(BadFraction):
         resolve_batch_sizes(cfg)
+
+
+def test_subset_size_rounds_and_keeps_one_row():
+    assert subset_size(0.3, 45) == 14  # 13.5 rounds half to even
+    assert subset_size(0.25, 320) == 80
+    assert subset_size(0.1, 3) == 1
+
+
+def test_partial_batch_uses_the_nominal_rounding_rule():
+    ds = small_blobs(n=136)  # 109 training points: batches of 64 and 45
+    assert ds.X_train.shape[0] == 109
+    cfg = TrainConfig(base_batch=64, fraction=0.3, epochs=1, base_lr=0.05, seed=2)
+    _, m = resolve_batch_sizes(cfg)
+    assert m == subset_size(0.3, 64) == 19
+    model = Mlp.init([2, 8, 3], seed=3)
+    records = run_training(cfg, StrategyConfig(kind="random", fraction=0.3), ds, model)
+    assert records[-1].backprop_points_cum == 19 + 14
+    assert records[-1].cost_units_cum == pytest.approx(cost_units(64, 19) + cost_units(45, 14))
 
 
 # ------------------------------------------------------------- cost model
