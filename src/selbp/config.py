@@ -42,11 +42,8 @@ class ExperimentSpec:
     activation: str = "relu"
     init_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
+    strategy: StrategyConfig = field(default_factory=StrategyConfig)
     strategy_kinds: tuple = ("random",)
-    cdf_source: str = "within_batch"
-    buffer_capacity: int | None = None
-    clip_negative: bool = True
-    pad_to_m: bool = False
     fractions: tuple = (0.5,)
     seeds: tuple = (0,)
     eval_num_batches: int = 200
@@ -55,14 +52,7 @@ class ExperimentSpec:
     out_dir: str = "runs"
 
     def strategy_config(self, kind, fraction):
-        return StrategyConfig(
-            kind=kind,
-            fraction=fraction,
-            cdf_source=self.cdf_source,
-            buffer_capacity=self.buffer_capacity,
-            clip_negative=self.clip_negative,
-            pad_to_m=self.pad_to_m,
-        )
+        return replace(self.strategy, kind=kind, fraction=fraction)
 
     def train_config(self, fraction, seed):
         return replace(self.train, fraction=fraction, seed=seed)
@@ -70,8 +60,11 @@ class ExperimentSpec:
 
 REQUIRED_KEYS = ("dataset.kind", "strategy.kinds")
 
-# key -> (target, attribute, parser) where target is one of
-# "spec", "dataset", "train", or "preset".
+# ExperimentSpec fields that hold a config object, each built from its keys.
+SECTIONS = {"dataset": DatasetDescriptor, "train": TrainConfig, "strategy": StrategyConfig}
+
+# key -> (target, attribute, parser) where target is "spec", "preset" or a
+# name in SECTIONS.
 _INT = int
 _FLOAT = float
 
@@ -142,10 +135,9 @@ KNOWN_KEYS = {
     "train.label_noise": ("train", "label_noise", _FLOAT),
     "train.seed": ("train", "seed", _INT),
     "strategy.kinds": ("spec", "strategy_kinds", _strs),
-    "strategy.cdf_source": ("spec", "cdf_source", _str),
-    "strategy.buffer_capacity": ("spec", "buffer_capacity", _opt_int),
-    "strategy.clip_negative": ("spec", "clip_negative", _bool),
-    "strategy.pad_to_m": ("spec", "pad_to_m", _bool),
+    "strategy.cdf_source": ("strategy", "cdf_source", _str),
+    "strategy.buffer_capacity": ("strategy", "buffer_capacity", _opt_int),
+    "strategy.pad_to_m": ("strategy", "pad_to_m", _bool),
     "grid.fractions": ("spec", "fractions", _floats),
     "grid.seeds": ("spec", "seeds", _ints),
     "eval.num_batches": ("spec", "eval_num_batches", _INT),
@@ -175,16 +167,14 @@ def parse_config_text(text):
     if missing:
         raise ParseError(f"missing required keys: {', '.join(missing)}")
 
-    dataset_kw = {}
-    train_kw = {}
-    spec_kw = {}
+    kwargs = {target: {} for target in ("spec", *SECTIONS)}
     if "preset" in pairs:
         _, value = pairs.pop("preset")
         if value not in PRESETS:
             raise ParseError(
                 f"unknown preset {value!r}; choose from {sorted(PRESETS)}"
             )
-        train_kw.update(PRESETS[value])
+        kwargs["train"].update(PRESETS[value])
 
     for key, (lineno, value) in pairs.items():
         target, attr, parser = KNOWN_KEYS[key]
@@ -192,18 +182,10 @@ def parse_config_text(text):
             parsed = parser(value)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        if target == "dataset":
-            dataset_kw[attr] = parsed
-        elif target == "train":
-            train_kw[attr] = parsed
-        else:
-            spec_kw[attr] = parsed
+        kwargs[target][attr] = parsed
 
-    return ExperimentSpec(
-        dataset=DatasetDescriptor(**dataset_kw),
-        train=TrainConfig(**train_kw),
-        **spec_kw,
-    )
+    sections = {name: cls(**kwargs[name]) for name, cls in SECTIONS.items()}
+    return ExperimentSpec(**sections, **kwargs["spec"])
 
 
 def load_config(path):
@@ -234,11 +216,6 @@ def dump_config(spec):
     for key, (target, attr, _) in KNOWN_KEYS.items():
         if target == "preset":
             continue
-        if target == "dataset":
-            value = getattr(spec.dataset, attr)
-        elif target == "train":
-            value = getattr(spec.train, attr)
-        else:
-            value = getattr(spec, attr)
-        lines.append(f"{key} = {_fmt(value)}")
+        owner = spec if target == "spec" else getattr(spec, target)
+        lines.append(f"{key} = {_fmt(getattr(owner, attr))}")
     return "\n".join(lines) + "\n"

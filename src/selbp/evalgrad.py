@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gram import gram_implicit
 from .model import forward_tape, weighted_backward
 from .omp import Selection
-from .selection import LossBuffer, select_grad_match, select_loss_based, select_random
+from .selection import LossBuffer
+from .trainer import select_subset
 
 
 @dataclass(frozen=True)
@@ -39,22 +39,14 @@ def full_dataset_gradient(model, X, y, chunk_size=512):
     return total / N
 
 
-def _strategy_selection(name, cfg, tape, m, buffer, rng):
-    if name == "full":
-        return Selection(np.arange(tape.M), np.ones(tape.M))
-    if cfg.kind == "random":
-        return select_random(tape.M, m, rng)
-    if cfg.kind == "loss_based":
-        return select_loss_based(tape.losses, m, cfg, buffer, rng)
-    return select_grad_match(gram_implicit(tape), m, cfg, rng)
-
-
 def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0):
     """Sample minibatches, subsample each with every strategy, record errors.
 
     ``strategies`` maps a name to a StrategyConfig (or to None for the
-    pseudo-strategy "full", which keeps the whole forward batch). Returns one
-    GradErrorSample per (strategy, batch).
+    pseudo-strategy "full", which keeps the whole forward batch). Each
+    selection is the trainer's :func:`select_subset`, with ``m = M`` for
+    "full"; a loss-based buffer holds ``buffer_capacity`` losses, 8 * M when
+    unset. Returns one GradErrorSample per (strategy, batch).
     """
     N = X.shape[0]
     if not m <= M <= N:
@@ -64,7 +56,10 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     batch_rng = np.random.default_rng([seed, 0])
     names = list(strategies)
     strat_rngs = {name: np.random.default_rng([seed, 1 + i]) for i, name in enumerate(names)}
-    buffers = {name: LossBuffer(8 * M) for name in names}
+    buffers = {
+        name: LossBuffer((cfg and cfg.buffer_capacity) or 8 * M)
+        for name, cfg in strategies.items()
+    }
 
     samples = []
     for b in range(num_batches):
@@ -72,9 +67,8 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
         Xb, yb = X[idx], y[idx]
         tape = forward_tape(model, Xb, yb)
         for name in names:
-            sel = _strategy_selection(
-                name, strategies[name], tape, m, buffers[name], strat_rngs[name]
-            )
+            size = M if name == "full" else m
+            sel = select_subset(strategies[name], tape, size, buffers[name], strat_rngs[name])
             est = weighted_backward(model, Xb, yb, sel)
             err = float(np.sum((est - g_full) ** 2))
             samples.append(GradErrorSample(name, b, err))

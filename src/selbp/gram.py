@@ -70,35 +70,27 @@ def _symmetrize(raw):
     return upper + upper.T - np.diag(np.diag(raw))
 
 
-def gram_implicit(tape, with_bias=True):
-    """Gram matrix of last-layer gradients without forming them.
-
-    With ``with_bias`` the bias-gradient term PP^T is included (a last layer
-    with a bias vector); without it only the elementwise product remains.
-    """
+def gram_implicit(tape):
+    """Gram matrix of last-layer gradients without forming them."""
     # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
     # rank-k update with an exactly symmetric result; elementwise products
     # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
     PPt = tape.P @ tape.P.T
     K = tape.H @ tape.H.T
     K *= PPt
-    if with_bias:
-        K += PPt
+    K += PPt
     return K
 
 
-def explicit_gradients(tape, with_bias=True):
+def explicit_gradients(tape):
     """Flattened last-layer gradients [vec(p_i h_i^T); p_i], one row per example."""
-    M = tape.M
-    outer = np.einsum("mc,md->mcd", tape.P, tape.H).reshape(M, -1)
-    if with_bias:
-        return np.concatenate([outer, tape.P], axis=1)
-    return outer
+    outer = np.einsum("mc,md->mcd", tape.P, tape.H).reshape(tape.M, -1)
+    return np.concatenate([outer, tape.P], axis=1)
 
 
-def gram_explicit(tape, with_bias=True):
+def gram_explicit(tape):
     """Brute-force Gram matrix from explicitly materialized gradients."""
-    V = explicit_gradients(tape, with_bias=with_bias)
+    V = explicit_gradients(tape)
     return _symmetrize(V @ V.T)
 
 

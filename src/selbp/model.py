@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gram import BatchTape
+from .gram import BatchTape, explicit_gradients
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -199,11 +199,7 @@ def per_example_grads(model, X, y):
 def last_layer_grad_check(model, X, y):
     """Max relative discrepancy between (p_i h_i^T, p_i) and the true last-layer
     gradient block; a standing self-test of the implicit construction."""
-    tape = forward_tape(model, X, y)
-    M = tape.M
-    built = np.concatenate(
-        [np.einsum("mc,md->mcd", tape.P, tape.H).reshape(M, -1), tape.P], axis=1
-    )
+    built = explicit_gradients(forward_tape(model, X, y))
     full = per_example_grads(model, X, y)
     last_size = built.shape[1]
     actual = full[:, -last_size:]

@@ -32,7 +32,6 @@ class StrategyConfig:
     fraction: float = 0.5
     cdf_source: str = "within_batch"
     buffer_capacity: int | None = None
-    clip_negative: bool = True
     pad_to_m: bool = False
     abs_correlation: bool = False
 
@@ -125,16 +124,14 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     return Selection(idx, np.ones(m))
 
 
-def normalize_weights(weights, n_selected, clip_negative=True):
-    """Clip (optionally) and rescale weights to be non-negative with L1 mass
-    equal to the selection size, so unit weights recover plain averaging.
+def normalize_weights(weights, n_selected):
+    """Clip weights to be non-negative and rescale them to sum to the
+    selection size, so unit weights recover plain averaging.
 
     Raises :class:`EmptySelection` when everything clips to zero.
     """
-    g = np.asarray(weights, dtype=np.float64)
-    if clip_negative:
-        g = np.maximum(g, 0.0)
-    l1 = np.abs(g).sum()
+    g = np.maximum(np.asarray(weights, dtype=np.float64), 0.0)
+    l1 = g.sum()
     if l1 <= 0.0:
         raise EmptySelection("all weights clipped to zero")
     return n_selected * g / l1
@@ -143,11 +140,10 @@ def normalize_weights(weights, n_selected, clip_negative=True):
 def select_grad_match(K, m, cfg, rng):
     """Gram-OMP selection of the weighted subset matching the mean gradient.
 
-    Runs OMP on (K, row means of K), clips negative weights when configured,
-    drops the atoms whose weight is zero (they would be backpropagated for
-    nothing), then rescales so the weights sum to |I|. Falls back to random
-    selection when nothing correlates with the mean gradient or all weights
-    clip to zero.
+    Runs OMP on (K, row means of K), drops the atoms whose weight is not
+    positive (clipped to zero, they would be backpropagated for nothing),
+    then rescales so the weights sum to |I|. Falls back to random selection
+    when nothing correlates with the mean gradient or all weights clip to zero.
     """
     K = np.asarray(K, dtype=np.float64)
     M = K.shape[0]
@@ -159,9 +155,8 @@ def select_grad_match(K, m, cfg, rng):
     t = mean_correlations(K)
     try:
         raw = omp_gram(K, t, OmpConfig(max_atoms=m, abs_correlation=cfg.abs_correlation))
-        g = np.maximum(raw.weights, 0.0) if cfg.clip_negative else raw.weights
-        keep = g != 0.0
-        g = normalize_weights(g[keep], int(keep.sum()), clip_negative=False)
+        keep = raw.weights > 0.0
+        g = normalize_weights(raw.weights[keep], int(keep.sum()))
         sel = Selection(raw.indices[keep], g)
     except EmptySelection:
         logger.warning("grad_match fell back to random selection")

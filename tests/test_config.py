@@ -9,6 +9,7 @@ from selbp.config import (
     parse_config_text,
 )
 from selbp.errors import ParseError, UnknownKey
+from selbp.selection import StrategyConfig
 
 MINIMAL = "dataset.kind = blobs\nstrategy.kinds = random\n"
 
@@ -30,6 +31,28 @@ def test_empty_config_lists_required_keys():
 def test_unknown_key_rejected():
     with pytest.raises(UnknownKey, match="optimizer.magic"):
         parse_config_text(MINIMAL + "optimizer.magic = adam\n")
+    # Weights are always clipped to be non-negative; there is no switch.
+    with pytest.raises(UnknownKey, match="strategy.clip_negative"):
+        parse_config_text(MINIMAL + "strategy.clip_negative = false\n")
+
+
+def test_strategy_keys_fill_the_strategy_template():
+    spec = parse_config_text(
+        MINIMAL
+        + "strategy.cdf_source = rolling_buffer\n"
+        + "strategy.buffer_capacity = 64\n"
+        + "strategy.pad_to_m = true\n"
+    )
+    assert spec.strategy == StrategyConfig(
+        cdf_source="rolling_buffer", buffer_capacity=64, pad_to_m=True
+    )
+    assert parse_config_text(dump_config(spec)) == spec
+    sc = spec.strategy_config("loss_based", 0.25)
+    assert sc == StrategyConfig(
+        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer",
+        buffer_capacity=64, pad_to_m=True,
+    )
+    assert spec.strategy.kind == "random"  # template untouched
 
 
 def test_duplicate_key_rejected():
@@ -155,5 +178,10 @@ def test_every_known_key_parseable():
     for key, (target, attr, _) in KNOWN_KEYS.items():
         if target == "preset":
             continue
-        obj = {"spec": spec, "dataset": spec.dataset, "train": spec.train}[target]
+        obj = {
+            "spec": spec,
+            "dataset": spec.dataset,
+            "train": spec.train,
+            "strategy": spec.strategy,
+        }[target]
         assert hasattr(obj, attr), key

@@ -56,18 +56,41 @@ def test_full_strategy_zero_error_on_single_batch_dataset():
     assert all(s.squared_error < 1e-24 for s in samples)
 
 
-def test_identity_subset_equals_plain_minibatch_error():
-    # m = M: random selection keeps the whole batch, so its error equals the
-    # plain minibatch estimator's.
-    model, X, y = toy_problem(N=128)
-    strategies = {"full": None, "random": StrategyConfig(kind="random")}
-    samples = gradient_error_experiment(
-        model, X, y, strategies, num_batches=10, M=32, m=32, seed=2
-    )
+def errors_by_strategy(samples):
     by = {}
     for s in samples:
         by.setdefault(s.strategy, []).append(s.squared_error)
-    np.testing.assert_allclose(by["random"], by["full"], rtol=1e-12)
+    return by
+
+
+def test_identity_subset_equals_plain_minibatch_error():
+    # m = M: every strategy keeps the whole batch with unit weights, as the
+    # trainer does, so its error equals the plain minibatch estimator's.
+    model, X, y = toy_problem(N=128)
+    strategies = {"full": None, **all_strategies()}
+    samples = gradient_error_experiment(
+        model, X, y, strategies, num_batches=10, M=32, m=32, seed=2
+    )
+    by = errors_by_strategy(samples)
+    for name in all_strategies():
+        assert by[name] == by["full"], name
+
+
+def test_loss_buffer_capacity_is_honoured():
+    model, X, y = toy_problem(N=128)
+
+    def loss_based_errors(capacity):
+        cfg = StrategyConfig(
+            kind="loss_based", cdf_source="rolling_buffer", buffer_capacity=capacity
+        )
+        samples = gradient_error_experiment(
+            model, X, y, {"loss_based": cfg}, num_batches=6, M=32, m=8, seed=6
+        )
+        return errors_by_strategy(samples)["loss_based"]
+
+    default = loss_based_errors(None)
+    assert loss_based_errors(8 * 32) == default
+    assert loss_based_errors(4) != default
 
 
 def test_paired_batches_across_strategies():

@@ -61,16 +61,6 @@ def test_implicit_matches_explicit_randomized():
         assert rel_max_err(gram_implicit(tape), gram_explicit(tape)) < 1e-12
 
 
-def test_without_bias_drops_output_grad_term():
-    rng = np.random.default_rng(3)
-    tape = random_tape(rng, M=6, D=4, C=3)
-    K = gram_implicit(tape, with_bias=False)
-    Ke = gram_explicit(tape, with_bias=False)
-    assert rel_max_err(K, Ke) < 1e-12
-    PPt = tape.P @ tape.P.T
-    np.testing.assert_allclose(gram_implicit(tape) - K, PPt, atol=1e-12)
-
-
 def test_diagonal_is_squared_gradient_norm():
     rng = np.random.default_rng(4)
     tape = random_tape(rng, M=8, D=5, C=3)
@@ -96,9 +86,8 @@ def test_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
     else:
         H, P = np.asarray(H[:, :D], order=layout), np.asarray(P[:, :C], order=layout)
     tape = BatchTape(H=H, P=P, losses=np.zeros(M))
-    for with_bias in (True, False):
-        K = gram_implicit(tape, with_bias=with_bias)
-        np.testing.assert_array_equal(K, K.T)
+    K = gram_implicit(tape)
+    np.testing.assert_array_equal(K, K.T)
 
 
 def test_psd_spot_check():
