@@ -184,7 +184,14 @@ def parse_config_text(text):
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         kwargs[target][attr] = parsed
 
-    sections = {name: cls(**kwargs[name]) for name, cls in SECTIONS.items()}
+    sections = {}
+    for name, cls in SECTIONS.items():
+        try:
+            sections[name] = cls(**kwargs[name])
+        except ValueError as exc:  # rejected by the section's own checks
+            at = [f"line {n}: bad value for {k!r}" for k, (n, _) in pairs.items()
+                  if KNOWN_KEYS[k][0] == name and KNOWN_KEYS[k][1] in str(exc).split()]
+            raise ParseError(f"{(at or [f'bad {name} settings'])[0]}: {exc}") from exc
     return ExperimentSpec(**sections, **kwargs["spec"])
 
 

@@ -69,7 +69,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
         for name in names:
             size = M if name == "full" else m
             sel = select_subset(strategies[name], tape, size, buffers[name], strat_rngs[name])
-            est = weighted_backward(model, Xb, yb, sel)
+            est = weighted_backward(model, Xb, yb, sel, tape=tape)
             err = float(np.sum((est - g_full) ** 2))
             samples.append(GradErrorSample(name, b, err))
     return samples

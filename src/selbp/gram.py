@@ -26,11 +26,13 @@ class BatchTape:
     H: (M, D) inputs to the last linear layer.
     P: (M, C) per-example loss gradients w.r.t. the model outputs.
     losses: (M,) per-example loss values.
+    inputs: each layer's input, X first and H last; empty on hand-built tapes.
     """
 
     H: np.ndarray
     P: np.ndarray
     losses: np.ndarray
+    inputs: tuple = ()
 
     def __post_init__(self):
         # Contiguous rows let gram_implicit's A @ A.T run as one symmetric update.

@@ -18,15 +18,14 @@ ACTIVATIONS = ("relu", "tanh")
 
 
 def _act(z, kind):
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+    """The hidden activation, applied in place."""
+    return np.maximum(z, 0.0, out=z) if kind == "relu" else np.tanh(z, out=z)
 
 
-def _act_grad(z, kind):
-    if kind == "relu":
-        return (z > 0).astype(np.float64)
-    return 1.0 - np.tanh(z) ** 2
+def _through_act(delta, a, kind):
+    """delta * act'(z) in place, with act' read off the activation a = act(z)."""
+    delta *= (a > 0) if kind == "relu" else 1.0 - a * a
+    return delta
 
 
 @dataclass
@@ -85,7 +84,7 @@ class Mlp:
 
 
 def _forward(model, X):
-    """Run all layers; returns (pre-activations z, layer inputs a, logits).
+    """Run all layers; returns (layer inputs a, logits).
 
     a[l] is the input to layer l, so a[-1] is H (input to the last layer).
     """
@@ -95,15 +94,11 @@ def _forward(model, X):
             f"X has shape {X.shape}, expected (*, {model.layers[0][0].shape[1]})"
         )
     a = [X]
-    zs = []
-    h = X
-    for li, (W, b) in enumerate(model.layers):
-        z = h @ W.T + b
-        zs.append(z)
-        if li < len(model.layers) - 1:
-            h = _act(z, model.activation)
-            a.append(h)
-    return zs, a, zs[-1]
+    for W, b in model.layers[:-1]:
+        z = a[-1] @ W.T + b
+        a.append(_act(z, model.activation))
+    W, b = model.layers[-1]
+    return a, a[-1] @ W.T + b
 
 
 def _softmax_stats(logits, y):
@@ -124,21 +119,21 @@ def _softmax_stats(logits, y):
 
 
 def forward_tape(model, X, y):
-    """Forward pass returning the selection inputs (H, P, per-example losses)."""
-    _, a, logits = _forward(model, X)
+    """Forward pass returning the selection inputs (H, P, losses) and each layer's input."""
+    a, logits = _forward(model, X)
     _, losses, P = _softmax_stats(logits, y)
-    return BatchTape(H=a[-1], P=P, losses=losses)
+    return BatchTape(H=a[-1], P=P, losses=losses, inputs=tuple(a))
 
 
 def mean_loss(model, X, y):
     """Mean softmax cross-entropy over the batch."""
-    _, _, logits = _forward(model, X)
+    _, logits = _forward(model, X)
     _, losses, _ = _softmax_stats(logits, y)
     return float(losses.mean())
 
 
 def predict(model, X):
-    _, _, logits = _forward(model, X)
+    _, logits = _forward(model, X)
     return logits.argmax(axis=1)
 
 
@@ -146,14 +141,14 @@ def accuracy(model, X, y):
     return float((predict(model, X) == np.asarray(y).reshape(-1)).mean())
 
 
-def weighted_backward(model, X, y, sel):
+def weighted_backward(model, X, y, sel, *, tape=None):
     """Weighted gradient estimate (1/|I|) * sum_{i in I} gamma_i * grad_i.
 
-    ``X`` and ``y`` are the whole forward batch; only the selected rows
-    ``X[sel.indices]`` are run forward and backward, so a step costs one
-    forward+backward pass over |I| rows and the other rows are never read.
-    With unit weights over the full batch this is the standard minibatch
-    mean gradient. Returns a flat parameter-layout vector.
+    ``X`` and ``y`` are the whole forward batch; only its selected rows are
+    read. Given the ``tape`` that :func:`forward_tape` returned for them, the
+    backward pass reuses its layer inputs and P; without one, ``X[sel.indices]``
+    is run forward first. Unit weights over the full batch give the minibatch
+    mean gradient. Returns a fresh flat parameter-layout vector.
     """
     X = np.asarray(X)
     y = np.asarray(y).reshape(-1)
@@ -161,26 +156,31 @@ def weighted_backward(model, X, y, sel):
         raise DimensionMismatch("labels do not match the batch size")
     if (sel.indices >= X.shape[0]).any():
         raise DimensionMismatch("selection index outside the batch")
-    zs, a, logits = _forward(model, X[sel.indices])
-    _, _, P = _softmax_stats(logits, y[sel.indices])
+    if tape is None:
+        a, logits = _forward(model, X[sel.indices])
+        _, _, P = _softmax_stats(logits, y[sel.indices])
+    elif tape.M != X.shape[0] or len(tape.inputs) != len(model.layers):
+        raise DimensionMismatch("tape does not hold this batch's layer inputs")
+    else:
+        a = [h[sel.indices] for h in tape.inputs]
+        P = tape.P[sel.indices]
 
     delta = (sel.weights / sel.size)[:, None] * P
-
-    grads = [None] * len(model.layers)
+    grad = np.empty(model.n_params)
+    pos = grad.shape[0]
     for li in range(len(model.layers) - 1, -1, -1):
-        W, _ = model.layers[li]
-        gW = delta.T @ a[li]
-        gb = delta.sum(axis=0)
-        grads[li] = (gW, gb)
+        W, b = model.layers[li]
+        pos -= W.size + b.size
+        np.matmul(delta.T, a[li], out=grad[pos : pos + W.size].reshape(W.shape))
+        np.sum(delta, axis=0, out=grad[pos + W.size : pos + W.size + b.size])
         if li > 0:
-            delta = (delta @ W) * _act_grad(zs[li - 1], model.activation)
-
-    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+            delta = _through_act(delta @ W, a[li], model.activation)
+    return grad
 
 
 def per_example_grads(model, X, y):
     """Full-parameter gradient of each example's loss; shape (M, n_params)."""
-    zs, a, logits = _forward(model, X)
+    a, logits = _forward(model, X)
     M = logits.shape[0]
     _, _, P = _softmax_stats(logits, y)
 
@@ -191,7 +191,7 @@ def per_example_grads(model, X, y):
         gW = np.einsum("mo,mi->moi", delta, a[li]).reshape(M, -1)
         blocks[li] = np.concatenate([gW, delta], axis=1)
         if li > 0:
-            delta = (delta @ W) * _act_grad(zs[li - 1], model.activation)
+            delta = _through_act(delta @ W, a[li], model.activation)
 
     return np.concatenate(blocks, axis=1)
 

@@ -33,7 +33,6 @@ class StrategyConfig:
     cdf_source: str = "within_batch"
     buffer_capacity: int | None = None
     pad_to_m: bool = False
-    abs_correlation: bool = False
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -154,7 +153,7 @@ def select_grad_match(K, m, cfg, rng):
 
     t = mean_correlations(K)
     try:
-        raw = omp_gram(K, t, OmpConfig(max_atoms=m, abs_correlation=cfg.abs_correlation))
+        raw = omp_gram(K, t, OmpConfig(max_atoms=m))
         keep = raw.weights > 0.0
         g = normalize_weights(raw.weights[keep], int(keep.sum()))
         sel = Selection(raw.indices[keep], g)

@@ -147,16 +147,18 @@ def apply_label_noise(labels, fraction, num_classes, rng):
 
 
 def sgd_update(theta, velocity, grad, lr, momentum=0.0, nesterov=False):
-    """One (Nesterov) momentum SGD step; returns (new theta, new velocity).
+    """One (Nesterov) momentum SGD step on ``theta`` and ``velocity`` in place;
+    returns them. ``grad`` is only read.
 
     Momentum buffers are plain gradient accumulators; selection weights only
     shape the gradient estimate fed in here.
     """
-    velocity = momentum * velocity + grad
+    velocity *= momentum
+    velocity += grad
     if nesterov and momentum > 0:
-        theta = theta - lr * (grad + momentum * velocity)
+        theta -= lr * (grad + momentum * velocity)
     else:
-        theta = theta - lr * velocity
+        theta -= lr * velocity
     return theta, velocity
 
 
@@ -230,10 +232,10 @@ def run_training(cfg, strategy, dataset, model):
 
             mb = m_nominal if Mb == M else subset_size(cfg.fraction, Mb)
             sel = select_subset(strategy, tape, mb, buffer, rng)
-            grad = weighted_backward(model, Xb, yb, sel)
-
-            g = grad + cfg.weight_decay * theta
-            theta, velocity = sgd_update(theta, velocity, g, lr, mu, cfg.nesterov)
+            grad = weighted_backward(model, Xb, yb, sel, tape=tape)
+            if cfg.weight_decay:
+                grad = grad + cfg.weight_decay * theta
+            sgd_update(theta, velocity, grad, lr, mu, cfg.nesterov)
             model.set_params(theta)
 
             step += 1

@@ -65,6 +65,19 @@ def test_bad_value_reports_line_and_key():
         parse_config_text(MINIMAL + "train.epochs = soon\n")
 
 
+def test_value_rejected_by_its_section_reports_line_and_key():
+    cases = (
+        ("strategy.cdf_source = global\n", "line 3: bad value for 'strategy.cdf_source'"),
+        ("train.schedule = linear\n", "line 3: bad value for 'train.schedule'"),
+        ("dataset.n = 2\ndataset.classes = 3\n", "line 3: bad value for 'dataset.n'"),
+        ("train.milestones = 5,5\n", "line 3: bad value for 'train.milestones'"),
+    )
+    for text, where in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_config_text(MINIMAL + text)
+        assert str(exc.value).startswith(where)
+
+
 def test_missing_equals_sign():
     with pytest.raises(ParseError, match="line 1"):
         parse_config_text("dataset.kind blobs\n")

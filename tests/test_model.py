@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selbp.errors import DimensionMismatch
-from selbp.gram import gram_implicit
+from selbp.gram import BatchTape, gram_implicit
 from selbp.model import (
     Mlp,
     accuracy,
@@ -88,14 +88,15 @@ def test_p_rows_sum_to_zero():
 
 def test_full_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    model = Mlp.init([2, 16, 3], seed=4)
-    for _ in range(3):
-        X = rng.standard_normal((5, 2))
-        y = rng.integers(0, 3, 5)
-        model.set_params(model.get_params() + 0.1 * rng.standard_normal(model.n_params))
-        grad = weighted_backward(model, X, y, full_selection(5))
-        fd = fd_gradient(model, X, y)
-        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+    for activation in ("relu", "tanh"):
+        model = Mlp.init([2, 16, 3], activation=activation, seed=4)
+        for _ in range(3):
+            X = rng.standard_normal((5, 2))
+            y = rng.integers(0, 3, 5)
+            model.set_params(model.get_params() + 0.1 * rng.standard_normal(model.n_params))
+            grad = weighted_backward(model, X, y, full_selection(5))
+            fd = fd_gradient(model, X, y)
+            assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
 
 
 def test_weighted_backward_unit_weights_is_mean():
@@ -142,6 +143,32 @@ def test_weighted_backward_reads_only_selected_rows():
     assert np.isfinite(grad).all()
     expected = w @ per_example_grads(model, X[idx], y[idx]) / 3
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_weighted_backward_from_tape_matches_oracle_and_reforward(activation):
+    rng = np.random.default_rng(21)
+    model = Mlp.init([4, 7, 6, 3], activation=activation, seed=22)
+    X = rng.standard_normal((12, 4))
+    y = rng.integers(0, 3, 12)
+    idx = np.array([9, 0, 5, 11, 3])
+    w = np.array([0.3, 2.1, 0.0, 1.4, 1.2])
+    sel = Selection(idx, w)
+    grad = weighted_backward(model, X, y, sel, tape=forward_tape(model, X, y))
+    expected = w @ per_example_grads(model, X, y)[idx] / idx.size
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grad, weighted_backward(model, X, y, sel), rtol=1e-12, atol=0)
+
+
+def test_weighted_backward_rejects_a_tape_without_layer_inputs():
+    model = Mlp.init([3, 6, 4], seed=16)
+    X, y = np.zeros((4, 3)), np.zeros(4, dtype=int)
+    tape = forward_tape(model, X, y)
+    bare = BatchTape(H=tape.H, P=tape.P, losses=tape.losses)
+    with pytest.raises(DimensionMismatch):
+        weighted_backward(model, X, y, Selection([0], [1.0]), tape=bare)
+    with pytest.raises(DimensionMismatch):
+        weighted_backward(model, X[:3], y[:3], Selection([0], [1.0]), tape=tape)
 
 
 def test_weighted_backward_validation():

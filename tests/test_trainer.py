@@ -178,6 +178,24 @@ def test_nesterov_matches_two_step_oracle_on_quadratic():
     np.testing.assert_allclose(vel, vel_ref, rtol=1e-14)
 
 
+@pytest.mark.parametrize("momentum,nesterov", [(0.9, True), (0.9, False), (0.0, False)])
+def test_sgd_update_in_place_is_bitwise_the_out_of_place_step(momentum, nesterov):
+    rng = np.random.default_rng(17)
+    theta, vel, grad = rng.standard_normal((3, 1000))
+    lr = 0.037
+    # The out-of-place formula, written out.
+    vel_ref = momentum * vel + grad
+    if nesterov and momentum > 0:
+        theta_ref = theta - lr * (grad + momentum * vel_ref)
+    else:
+        theta_ref = theta - lr * vel_ref
+    grad_before = grad.copy()
+    out_theta, out_vel = sgd_update(theta, vel, grad, lr, momentum, nesterov)
+    assert out_theta is theta and out_vel is vel
+    assert np.array_equal(theta, theta_ref) and np.array_equal(vel, vel_ref)
+    assert np.array_equal(grad, grad_before)
+
+
 def test_plain_sgd_reduces_to_gradient_step():
     theta, vel = sgd_update(np.array([1.0]), np.array([0.0]), np.array([2.0]), lr=0.5)
     np.testing.assert_array_equal(theta, [0.0])
@@ -218,6 +236,25 @@ def test_full_fraction_random_is_bitwise_plain_sgd():
     m2 = Mlp.init([2, 16, 3], seed=9)
     ref = plain_sgd_loop(cfg, ds, m2)
     np.testing.assert_array_equal(m1.get_params(), ref)
+
+
+def test_one_forward_pass_per_step(monkeypatch):
+    import selbp.model
+
+    forward = selbp.model._forward
+    rows = []
+
+    def counting_forward(model, X):
+        rows.append(np.shape(X)[0])
+        return forward(model, X)
+
+    monkeypatch.setattr(selbp.model, "_forward", counting_forward)
+    ds = small_blobs(n=300)  # 240 training rows: batches of 64, 64, 64 and 48
+    cfg = TrainConfig(base_batch=64, fraction=0.5, epochs=1, base_lr=0.05, seed=3)
+    model = Mlp.init([2, 8, 3], seed=4)
+    records = run_training(cfg, StrategyConfig(kind="random", fraction=0.5), ds, model)
+    assert records[-1].backprop_points_cum == 32 * 3 + 24
+    assert rows == [64, 64, 64, 48, ds.X_test.shape[0]]
 
 
 def test_run_training_reproducible():
