@@ -24,7 +24,6 @@ from .model import (
 )
 from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
 from .selection import (
-    LossBuffer,
     StrategyConfig,
     empirical_cdf,
     normalize_weights,

@@ -17,15 +17,15 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 import numpy as np
 
-from . import evalgrad
+from . import evalgrad, oracles
 from .config import load_config
 from .data import build_dataset, write_dataset_csv
 from .errors import SelbpError
-from .gram import BatchTape, gram_explicit, gram_implicit
-from .model import Mlp, last_layer_grad_check, mean_loss, weighted_backward
-from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram
+from .model import Mlp, last_layer_grad_check
 from .trainer import run_training, write_metrics_csv
 
 logger = logging.getLogger(__name__)
@@ -99,19 +99,13 @@ def cmd_train(spec, jobs=1):
     ]
     failures = 0
     rows = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            for cell, fut in zip(cells, futures):
-                try:
-                    rows.append(fut.result())
-                except SelbpError as exc:
-                    failures += 1
-                    logger.error("cell %s failed: %s", cell[1:4], exc)
-    else:
-        for cell in cells:
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        # Each cell's result: a worker's future, or the cell run here when called.
+        results = [pool.submit(_run_cell, c).result if pool else partial(_run_cell, c)
+                   for c in cells]
+        for cell, result in zip(cells, results):
             try:
-                rows.append(_run_cell(cell))
+                rows.append(result())
             except SelbpError as exc:
                 failures += 1
                 logger.error("cell %s failed: %s", cell[1:4], exc)
@@ -144,53 +138,6 @@ def cmd_grad_error(spec):
 def _selftest_checks():
     rng = np.random.default_rng(12345)
 
-    def gram_identity():
-        worst = 0.0
-        for _ in range(20):
-            M, D, C = rng.integers(2, 17), rng.integers(1, 9), rng.integers(1, 6)
-            tape = BatchTape(
-                H=rng.standard_normal((M, D)),
-                P=rng.standard_normal((M, C)),
-                losses=np.abs(rng.standard_normal(M)),
-            )
-            Ki, Ke = gram_implicit(tape), gram_explicit(tape)
-            worst = max(worst, np.abs(Ki - Ke).max() / np.abs(Ke).max())
-        return worst < 1e-12, f"max relative error {worst:.2e}"
-
-    def omp_equivalence():
-        for _ in range(20):
-            M, D, m = 16, 24, 5
-            A = rng.standard_normal((M, D))
-            b = A.mean(axis=0)
-            dense = omp_dense_oracle(A, b, m)
-            gsel = omp_gram(A @ A.T, A @ b, OmpConfig(max_atoms=m))
-            if not np.array_equal(dense.indices, gsel.indices):
-                return False, "index sequences differ"
-            if np.abs(dense.weights - gsel.weights).max() > 1e-8:
-                return False, "weights differ beyond 1e-8"
-        return True, "20 instances agree"
-
-    def finite_differences():
-        model = Mlp.init([2, 16, 3], seed=7)
-        X = rng.standard_normal((6, 2))
-        y = rng.integers(0, 3, 6)
-        full = Selection(np.arange(6), np.ones(6))
-        grad = weighted_backward(model, X, y, full)
-        theta = model.get_params()
-        h = 1e-5
-        fd = np.zeros_like(theta)
-        for i in range(theta.size):
-            step = np.zeros_like(theta)
-            step[i] = h
-            model.set_params(theta + step)
-            up = mean_loss(model, X, y)
-            model.set_params(theta - step)
-            down = mean_loss(model, X, y)
-            fd[i] = (up - down) / (2 * h)
-        model.set_params(theta)
-        rel = np.linalg.norm(fd - grad) / np.linalg.norm(grad)
-        return rel < 1e-6, f"relative error {rel:.2e}"
-
     def proxy_block():
         model = Mlp.init([3, 8, 4], seed=11)
         X = rng.standard_normal((10, 3))
@@ -199,9 +146,10 @@ def _selftest_checks():
         return err < 1e-10, f"max relative error {err:.2e}"
 
     return [
-        ("gram implicit vs explicit", gram_identity),
-        ("gram-OMP vs dense oracle", omp_equivalence),
-        ("full-gradient finite differences", finite_differences),
+        ("gram implicit vs explicit", lambda: oracles.gram_identity(rng, 20)),
+        ("gram-OMP vs dense oracle", lambda: oracles.omp_oracle(rng, 20)),
+        ("full-gradient finite differences",
+         lambda: oracles.gradient_check(Mlp.init([2, 16, 3], seed=7), rng, 1)),
         ("last-layer proxy block", proxy_block),
     ]
 

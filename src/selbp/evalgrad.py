@@ -8,6 +8,7 @@ gradient, not the last-layer proxy the selection itself uses.
 """
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .model import forward_tape, weighted_backward
 from .omp import Selection
-from .selection import LossBuffer
 from .trainer import select_subset
 
 
@@ -27,7 +27,8 @@ class GradErrorSample:
 
 
 def full_dataset_gradient(model, X, y, chunk_size=512):
-    """Exact mean gradient over the whole set, streamed in chunks."""
+    """Exact mean gradient over the whole set, streamed in chunks. Raises
+    ``ValueError`` when a chunk's activations or losses are not finite."""
     N = X.shape[0]
     if N == 0:
         raise DimensionMismatch("dataset must be non-empty")
@@ -35,7 +36,8 @@ def full_dataset_gradient(model, X, y, chunk_size=512):
     for start in range(0, N, chunk_size):
         Xc, yc = X[start : start + chunk_size], y[start : start + chunk_size]
         sel = Selection(np.arange(Xc.shape[0]), np.ones(Xc.shape[0]))
-        total += weighted_backward(model, Xc, yc, sel) * Xc.shape[0]
+        tape = forward_tape(model, Xc, yc)
+        total += weighted_backward(model, Xc, yc, sel, tape=tape) * Xc.shape[0]
     return total / N
 
 
@@ -57,7 +59,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     names = list(strategies)
     strat_rngs = {name: np.random.default_rng([seed, 1 + i]) for i, name in enumerate(names)}
     buffers = {
-        name: LossBuffer((cfg and cfg.buffer_capacity) or 8 * M)
+        name: deque(maxlen=(cfg and cfg.buffer_capacity) or 8 * M)
         for name, cfg in strategies.items()
     }
 

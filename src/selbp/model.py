@@ -141,29 +141,20 @@ def accuracy(model, X, y):
     return float((predict(model, X) == np.asarray(y).reshape(-1)).mean())
 
 
-def weighted_backward(model, X, y, sel, *, tape=None):
+def weighted_backward(model, X, y, sel, *, tape):
     """Weighted gradient estimate (1/|I|) * sum_{i in I} gamma_i * grad_i.
 
-    ``X`` and ``y`` are the whole forward batch; only its selected rows are
-    read. Given the ``tape`` that :func:`forward_tape` returned for them, the
-    backward pass reuses its layer inputs and P; without one, ``X[sel.indices]``
-    is run forward first. Unit weights over the full batch give the minibatch
-    mean gradient. Returns a fresh flat parameter-layout vector.
+    ``tape`` is what :func:`forward_tape` returned for the batch ``X``, ``y``;
+    only the selected rows of its layer inputs and P are read, and no forward
+    pass runs. Unit weights over the full batch give the minibatch mean
+    gradient. Returns a fresh flat parameter-layout vector.
     """
-    X = np.asarray(X)
-    y = np.asarray(y).reshape(-1)
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatch("labels do not match the batch size")
-    if (sel.indices >= X.shape[0]).any():
-        raise DimensionMismatch("selection index outside the batch")
-    if tape is None:
-        a, logits = _forward(model, X[sel.indices])
-        _, _, P = _softmax_stats(logits, y[sel.indices])
-    elif tape.M != X.shape[0] or len(tape.inputs) != len(model.layers):
+    if not tape.M == np.shape(X)[0] == np.size(y) or len(tape.inputs) != len(model.layers):
         raise DimensionMismatch("tape does not hold this batch's layer inputs")
-    else:
-        a = [h[sel.indices] for h in tape.inputs]
-        P = tape.P[sel.indices]
+    if (sel.indices >= tape.M).any():
+        raise DimensionMismatch("selection index outside the batch")
+    a = [h[sel.indices] for h in tape.inputs]
+    P = tape.P[sel.indices]
 
     delta = (sel.weights / sel.size)[:, None] * P
     grad = np.empty(model.n_params)

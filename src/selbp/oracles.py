@@ -1,0 +1,84 @@
+"""Reference checks shared by ``selbp selftest`` and the test suite: each
+compares a routine with an independent oracle on random instances from the
+caller's generator, within the acceptance bounds, and returns (passed, detail).
+"""
+
+import numpy as np
+
+from .gram import BatchTape, gram_explicit, gram_implicit
+from .model import forward_tape, mean_loss, per_example_grads, weighted_backward
+from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
+
+
+def fd_gradient(model, X, y, h=1e-5):
+    """Central finite differences of the mean loss in every parameter."""
+    theta = model.get_params()
+    fd = np.zeros_like(theta)
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        model.set_params(theta + step)
+        up = mean_loss(model, X, y)
+        model.set_params(theta - step)
+        down = mean_loss(model, X, y)
+        fd[i] = (up - down) / (2 * h)
+    model.set_params(theta)
+    return fd
+
+
+def gram_identity(rng, trials):
+    """``gram_implicit`` equals ``gram_explicit`` to 1e-12 (relative) on tapes
+    of up to 32 rows, 16 features and 8 classes."""
+    worst = 0.0
+    for _ in range(trials):
+        M, D, C = (int(rng.integers(lo, hi)) for lo, hi in ((2, 33), (1, 17), (1, 9)))
+        H, P = rng.standard_normal((M, D)), rng.standard_normal((M, C))
+        tape = BatchTape(H=H, P=P, losses=np.abs(rng.standard_normal(M)))
+        Ke = gram_explicit(tape)
+        worst = max(worst, np.abs(gram_implicit(tape) - Ke).max() / np.abs(Ke).max())
+    return worst <= 1e-12, f"max relative error {worst:.2e}"
+
+
+def omp_oracle(rng, trials):
+    """``omp_gram`` picks ``omp_dense_oracle``'s atoms in order, weights within
+    1e-8, objective never rising, on 4-64 generic atoms matching their mean."""
+    for _ in range(trials):
+        M = int(rng.integers(4, 65))
+        A = rng.standard_normal((M, M + 16))
+        b = A.mean(axis=0)
+        K, t = A @ A.T, A @ b
+        m = int(rng.integers(1, min(M, 16) + 1))
+        dense = omp_dense_oracle(A, b, m)
+        sel = omp_gram(K, t, OmpConfig(max_atoms=m))
+        if not np.array_equal(dense.indices, sel.indices):
+            return False, "index sequences differ"
+        if np.abs(dense.weights - sel.weights).max() > 1e-8:
+            return False, "weights differ beyond 1e-8"
+        t0 = prev = float(b @ b)
+        for k in range(1, sel.size + 1):
+            idx = sel.indices[:k]
+            gamma = np.linalg.solve(K[np.ix_(idx, idx)], t[idx])
+            obj = residual_norm_sq(K, t, t0, Selection(idx, gamma))
+            if obj > prev + 1e-10 * max(t0, 1.0):
+                return False, f"objective increased at step {k}"
+            prev = obj
+    return True, f"{trials} instances agree; objective monotone"
+
+
+def gradient_check(model, rng, trials):
+    """The gradient of 5 rows at jittered parameters equals finite differences
+    to 1e-6 and the per-example mean to 1e-12 (relative); restores the model."""
+    theta0 = model.get_params()
+    full = Selection(np.arange(5), np.ones(5))
+    fd_err = mean_err = 0.0
+    for _ in range(trials):
+        model.set_params(theta0 + 0.2 * rng.standard_normal(theta0.size))
+        X = rng.standard_normal((5, model.layers[0][0].shape[1]))
+        y = rng.integers(0, model.num_classes, 5)
+        grad = weighted_backward(model, X, y, full, tape=forward_tape(model, X, y))
+        fd_err = max(fd_err, np.linalg.norm(fd_gradient(model, X, y) - grad) / np.linalg.norm(grad))
+        mean = per_example_grads(model, X, y).mean(axis=0)
+        mean_err = max(mean_err, np.abs(grad - mean).max() / max(np.abs(mean).max(), 1.0))
+    model.set_params(theta0)
+    ok = fd_err <= 1e-6 and mean_err <= 1e-12
+    return ok, f"fd rel err {fd_err:.2e}, mean rel err {mean_err:.2e}"

@@ -11,7 +11,6 @@ Three strategies behind one interface, all returning a :class:`Selection`:
 """
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,25 +44,6 @@ class StrategyConfig:
             raise ValueError("buffer_capacity must be >= 1")
 
 
-class LossBuffer:
-    """Ring buffer over the most recent per-example loss values."""
-
-    def __init__(self, capacity):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._ring = deque(maxlen=capacity)
-
-    def extend(self, losses):
-        self._ring.extend(np.asarray(losses, dtype=np.float64).reshape(-1))
-
-    def values(self):
-        return np.array(self._ring, dtype=np.float64)
-
-    def __len__(self):
-        return len(self._ring)
-
-
 def select_random(M, m, rng):
     """m distinct indices uniform without replacement, unit weights."""
     if m < 1:
@@ -91,8 +71,9 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     Uses exponential-key weighted sampling without replacement (keys
     Exp(1)/p_i, smallest m win) so every call returns exactly m distinct
     indices. When ``cfg.cdf_source`` is ``rolling_buffer`` the CDF reference
-    is the buffer contents (falling back to the batch while it is still
-    empty) and the M fresh losses are appended afterward.
+    is the contents of ``buffer``, a ``collections.deque`` with a ``maxlen``
+    (falling back to the batch while it is still empty), and the M fresh
+    losses are appended afterward, evicting the oldest.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]
@@ -105,7 +86,7 @@ def select_loss_based(losses, m, cfg, buffer, rng):
 
     use_buffer = cfg.cdf_source == "rolling_buffer" and buffer is not None
     if use_buffer and len(buffer) > 0:
-        reference = buffer.values()
+        reference = np.array(buffer)
     else:
         reference = losses
 

@@ -9,6 +9,7 @@ M for a full-batch step.
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,12 +18,7 @@ from .errors import BadFraction, TrainingDiverged
 from .gram import gram_implicit
 from .model import accuracy, forward_tape, weighted_backward
 from .omp import Selection
-from .selection import (
-    LossBuffer,
-    select_grad_match,
-    select_loss_based,
-    select_random,
-)
+from .selection import select_grad_match, select_loss_based, select_random
 
 SCHEDULES = ("constant", "step", "cosine")
 OPTIMIZERS = ("sgd_momentum", "plain_sgd")
@@ -191,8 +187,7 @@ def run_training(cfg, strategy, dataset, model):
         y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
 
     M, m_nominal = resolve_batch_sizes(cfg)
-    capacity = strategy.buffer_capacity or 8 * cfg.base_batch
-    buffer = LossBuffer(capacity)
+    buffer = deque(maxlen=strategy.buffer_capacity or 8 * cfg.base_batch)
 
     theta = model.get_params()
     velocity = np.zeros_like(theta)

@@ -12,24 +12,12 @@ from scipy import stats
 from selbp.config import parse_config_text
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.evalgrad import gradient_error_experiment
-from selbp.gram import BatchTape, gram_explicit, gram_implicit
-from selbp.model import (
-    Mlp,
-    forward_tape,
-    mean_loss,
-    per_example_grads,
-    weighted_backward,
-)
-from selbp.omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
+from selbp.gram import BatchTape, gram_implicit
+from selbp.model import Mlp, forward_tape, per_example_grads
+from selbp.omp import OmpConfig, omp_gram
+from selbp.oracles import gradient_check, gram_identity, omp_oracle
 from selbp.selection import StrategyConfig, select_grad_match, select_loss_based
-from selbp.trainer import (
-    TrainConfig,
-    apply_label_noise,
-    cost_units,
-    lr_at,
-    run_training,
-    sgd_update,
-)
+from selbp.trainer import TrainConfig, apply_label_noise, cost_units, run_training
 from selbp.cli import aggregate_summary
 
 
@@ -41,27 +29,14 @@ def report(num, desc, ok, detail=""):
 
 
 def test_criterion_01_gram_identity():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(100):
-        M = int(rng.integers(2, 33))
-        D = int(rng.integers(1, 17))
-        C = int(rng.integers(1, 9))
-        tape = BatchTape(
-            H=rng.standard_normal((M, D)),
-            P=rng.standard_normal((M, C)),
-            losses=np.abs(rng.standard_normal(M)),
-        )
-        Ke = gram_explicit(tape)
-        rel = np.abs(gram_implicit(tape) - Ke).max() / np.abs(Ke).max()
-        worst = max(worst, rel)
+    ok, detail = gram_identity(np.random.default_rng(101), 100)
     elapsed = time.perf_counter() - start
     report(
         1,
         "implicit vs explicit Gram on 100 random tapes",
-        worst <= 1e-12 and elapsed < 5.0,
-        f"max rel err {worst:.2e}, {elapsed:.2f}s",
+        ok and elapsed < 5.0,
+        f"{detail}, {elapsed:.2f}s",
     )
 
 
@@ -87,36 +62,8 @@ def test_criterion_02_end_to_end_proxy_identity():
 
 
 def test_criterion_03_omp_oracle_equivalence():
-    rng = np.random.default_rng(103)
     start = time.perf_counter()
-    ok = True
-    detail = "200 instances agree; objective monotone"
-    for _ in range(200):
-        M = int(rng.integers(4, 65))
-        A = rng.standard_normal((M, M + 16))  # generic => tie-free
-        b = A.mean(axis=0)
-        K, t = A @ A.T, A @ b
-        m = int(rng.integers(1, min(M, 16) + 1))
-        dense = omp_dense_oracle(A, b, m)
-        gsel = omp_gram(K, t, OmpConfig(max_atoms=m))
-        if not np.array_equal(dense.indices, gsel.indices):
-            ok, detail = False, "index sequences differ"
-            break
-        if np.abs(dense.weights - gsel.weights).max() > 1e-8:
-            ok, detail = False, "weights differ beyond 1e-8"
-            break
-        t0 = float(b @ b)
-        prev = t0
-        for k in range(1, gsel.size + 1):
-            idx = gsel.indices[:k]
-            gamma = np.linalg.solve(K[np.ix_(idx, idx)], t[idx])
-            obj = residual_norm_sq(K, t, t0, Selection(idx, gamma))
-            if obj > prev + 1e-10 * max(t0, 1.0):
-                ok, detail = False, f"objective increased at step {k}"
-                break
-            prev = obj
-        if not ok:
-            break
+    ok, detail = omp_oracle(np.random.default_rng(103), 200)
     elapsed = time.perf_counter() - start
     report(
         3,
@@ -149,40 +96,8 @@ def test_criterion_04_full_support_and_duplicate_collapse():
 
 
 def test_criterion_05_gradient_correctness():
-    rng = np.random.default_rng(105)
-    model = Mlp.init([2, 16, 3], seed=5)
-    theta0 = model.get_params()
-    worst_fd = 0.0
-    h = 1e-5
-    for _ in range(10):
-        model.set_params(theta0 + 0.2 * rng.standard_normal(theta0.size))
-        X = rng.standard_normal((5, 2))
-        y = rng.integers(0, 3, 5)
-        grad = weighted_backward(model, X, y, Selection(np.arange(5), np.ones(5)))
-        theta = model.get_params()
-        fd = np.zeros_like(theta)
-        for i in range(theta.size):
-            step = np.zeros_like(theta)
-            step[i] = h
-            model.set_params(theta + step)
-            up = mean_loss(model, X, y)
-            model.set_params(theta - step)
-            down = mean_loss(model, X, y)
-            fd[i] = (up - down) / (2 * h)
-        model.set_params(theta)
-        worst_fd = max(worst_fd, np.linalg.norm(fd - grad) / np.linalg.norm(grad))
-
-    X = rng.standard_normal((9, 2))
-    y = rng.integers(0, 3, 9)
-    grad = weighted_backward(model, X, y, Selection(np.arange(9), np.ones(9)))
-    mean = per_example_grads(model, X, y).mean(axis=0)
-    mean_err = np.abs(grad - mean).max() / max(np.abs(mean).max(), 1.0)
-    report(
-        5,
-        "finite-difference and per-example-mean gradient checks",
-        worst_fd <= 1e-6 and mean_err <= 1e-12,
-        f"fd rel err {worst_fd:.2e}, mean rel err {mean_err:.2e}",
-    )
+    ok, detail = gradient_check(Mlp.init([2, 16, 3], seed=5), np.random.default_rng(105), 10)
+    report(5, "finite-difference and per-example-mean gradient checks", ok, detail)
 
 
 def test_criterion_06_loss_based_statistics():
@@ -265,27 +180,7 @@ def test_criterion_08_gradient_error_replication():
     )
 
 
-def _plain_sgd_reference(cfg, dataset, model):
-    rng = np.random.default_rng(cfg.seed)
-    theta = model.get_params()
-    vel = np.zeros_like(theta)
-    N = dataset.X_train.shape[0]
-    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
-    for epoch in range(cfg.total_epochs):
-        lr = lr_at(cfg, epoch)
-        perm = rng.permutation(N)
-        for start in range(0, N, cfg.base_batch):
-            b = perm[start : start + cfg.base_batch]
-            Xb, yb = dataset.X_train[b], dataset.y_train[b]
-            forward_tape(model, Xb, yb)
-            sel = Selection(np.arange(len(b)), np.ones(len(b)))
-            g = weighted_backward(model, Xb, yb, sel) + cfg.weight_decay * theta
-            theta, vel = sgd_update(theta, vel, g, lr, mu, cfg.nesterov)
-            model.set_params(theta)
-    return model.get_params()
-
-
-def test_criterion_09_training_protocol():
+def test_criterion_09_training_protocol(plain_sgd_reference):
     start = time.perf_counter()
     desc = DatasetDescriptor(
         kind="blobs", n=3000, classes=3, dim=2, separation=4.0, split=0.8, seed=7
@@ -297,7 +192,7 @@ def test_criterion_09_training_protocol():
     m1 = Mlp.init([2, 32, 3], seed=0)
     run_training(cfg1, StrategyConfig(kind="random", fraction=1.0), ds, m1)
     m2 = Mlp.init([2, 32, 3], seed=0)
-    ref = _plain_sgd_reference(cfg1, ds, m2)
+    ref = plain_sgd_reference(cfg1, ds, m2)
     bitwise = np.array_equal(m1.get_params(), ref)
 
     rows = []

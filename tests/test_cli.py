@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import selbp.oracles
 from selbp.cli import aggregate_summary, main, read_summary_csv
 
 SMALL_GRID = """
@@ -113,6 +114,14 @@ def test_selftest_command(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 4 and "[FAIL]" not in out
+
+
+def test_selftest_reports_a_wrong_gram(monkeypatch, capsys):
+    right = selbp.oracles.gram_implicit
+    monkeypatch.setattr(selbp.oracles, "gram_implicit", lambda tape: 1.001 * right(tape))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] gram implicit vs explicit" in out and out.count("[ok]") == 3
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from selbp.evalgrad import (
     full_dataset_gradient,
@@ -45,6 +46,13 @@ def test_full_gradient_matches_per_example_mean():
     g = full_dataset_gradient(model, X, y, chunk_size=100)
     mean = per_example_grads(model, X, y).mean(axis=0)
     assert np.abs(g - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1.0)
+
+
+def test_full_gradient_rejects_non_finite_activations():
+    model, X, y = toy_problem(N=40)
+    X[33, 1] = np.nan  # in the second chunk
+    with pytest.raises(ValueError, match="non-finite"):
+        full_dataset_gradient(model, X, y, chunk_size=32)
 
 
 def test_full_strategy_zero_error_on_single_batch_dataset():

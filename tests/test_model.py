@@ -8,30 +8,20 @@ from selbp.model import (
     accuracy,
     forward_tape,
     last_layer_grad_check,
-    mean_loss,
     per_example_grads,
     weighted_backward,
 )
 from selbp.omp import Selection
+from selbp.oracles import fd_gradient, gradient_check
 
 
 def full_selection(M):
     return Selection(np.arange(M), np.ones(M))
 
 
-def fd_gradient(model, X, y, h=1e-5):
-    theta = model.get_params()
-    fd = np.zeros_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        model.set_params(theta + step)
-        up = mean_loss(model, X, y)
-        model.set_params(theta - step)
-        down = mean_loss(model, X, y)
-        fd[i] = (up - down) / (2 * h)
-    model.set_params(theta)
-    return fd
+def backward(model, X, y, sel):
+    """The weighted gradient after the forward pass over the whole batch."""
+    return weighted_backward(model, X, y, sel, tape=forward_tape(model, X, y))
 
 
 def test_uniform_logits_give_log_c_loss():
@@ -57,26 +47,16 @@ def test_saturated_correct_prediction():
 
 
 def test_output_gradient_matches_finite_differences_on_logits():
-    # P is the gradient of the softmax cross-entropy w.r.t. the logits.
+    # P is the gradient of the softmax cross-entropy w.r.t. the logits, which
+    # on a single linear layer is the gradient w.r.t. its bias.
     rng = np.random.default_rng(1)
     model = Mlp(layers=[(rng.standard_normal((4, 4)), np.zeros(4))])
-    X = np.eye(4)  # logits = W columns, so dlogits = dW rows via identity input
+    X = rng.standard_normal((4, 4))
     y = rng.integers(0, 4, 4)
     tape = forward_tape(model, X, y)
-    h = 1e-5
-    logits = X @ model.layers[0][0].T
-
-    def loss_of(z_row, label):
-        zmax = z_row.max()
-        return np.log(np.exp(z_row - zmax).sum()) + zmax - z_row[label]
-
     for i in range(4):
-        for c in range(4):
-            up, down = logits[i].copy(), logits[i].copy()
-            up[c] += h
-            down[c] -= h
-            fd = (loss_of(up, y[i]) - loss_of(down, y[i])) / (2 * h)
-            assert abs(fd - tape.P[i, c]) <= 1e-6 * max(1.0, abs(tape.P[i, c]))
+        fd_bias = fd_gradient(model, X[i : i + 1], y[i : i + 1])[-4:]
+        assert np.abs(fd_bias - tape.P[i]).max() <= 1e-6 * max(1.0, np.abs(tape.P[i]).max())
 
 
 def test_p_rows_sum_to_zero():
@@ -89,14 +69,8 @@ def test_p_rows_sum_to_zero():
 def test_full_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     for activation in ("relu", "tanh"):
-        model = Mlp.init([2, 16, 3], activation=activation, seed=4)
-        for _ in range(3):
-            X = rng.standard_normal((5, 2))
-            y = rng.integers(0, 3, 5)
-            model.set_params(model.get_params() + 0.1 * rng.standard_normal(model.n_params))
-            grad = weighted_backward(model, X, y, full_selection(5))
-            fd = fd_gradient(model, X, y)
-            assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+        ok, detail = gradient_check(Mlp.init([2, 16, 3], activation=activation, seed=4), rng, 3)
+        assert ok, f"{activation}: {detail}"
 
 
 def test_weighted_backward_unit_weights_is_mean():
@@ -104,7 +78,7 @@ def test_weighted_backward_unit_weights_is_mean():
     model = Mlp.init([3, 6, 4], seed=5)
     X = rng.standard_normal((7, 3))
     y = rng.integers(0, 4, 7)
-    grad = weighted_backward(model, X, y, full_selection(7))
+    grad = backward(model, X, y, full_selection(7))
     mean = per_example_grads(model, X, y).mean(axis=0)
     np.testing.assert_allclose(grad, mean, rtol=1e-12, atol=1e-15)
 
@@ -114,7 +88,7 @@ def test_weighted_backward_single_example():
     model = Mlp.init([3, 6, 4], seed=6)
     X = rng.standard_normal((7, 3))
     y = rng.integers(0, 4, 7)
-    grad = weighted_backward(model, X, y, Selection([2], [1.0]))
+    grad = backward(model, X, y, Selection([2], [1.0]))
     np.testing.assert_allclose(grad, per_example_grads(model, X, y)[2], rtol=1e-12, atol=1e-15)
 
 
@@ -125,7 +99,7 @@ def test_weighted_backward_arbitrary_weights():
     y = rng.integers(0, 3, 9)
     idx = np.array([1, 3, 8])
     w = np.array([0.5, 2.0, 0.25])
-    grad = weighted_backward(model, X, y, Selection(idx, w))
+    grad = backward(model, X, y, Selection(idx, w))
     pg = per_example_grads(model, X, y)
     expected = (w[:, None] * pg[idx]).sum(axis=0) / 3
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
@@ -138,26 +112,27 @@ def test_weighted_backward_reads_only_selected_rows():
     y = rng.integers(0, 4, 10)
     idx = np.array([7, 2, 5])
     w = np.array([1.5, 0.25, 1.25])
-    X[np.setdiff1d(np.arange(10), idx)] = np.nan
-    grad = weighted_backward(model, X, y, Selection(idx, w))
-    assert np.isfinite(grad).all()
     expected = w @ per_example_grads(model, X[idx], y[idx]) / 3
+    tape = forward_tape(model, X, y)
+    unselected = np.setdiff1d(np.arange(10), idx)
+    for array in (*tape.inputs, tape.P):
+        array[unselected] = np.nan
+    grad = weighted_backward(model, X, y, Selection(idx, w), tape=tape)
+    assert np.isfinite(grad).all()
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_weighted_backward_from_tape_matches_oracle_and_reforward(activation):
+def test_weighted_backward_from_tape_matches_oracle(activation):
     rng = np.random.default_rng(21)
     model = Mlp.init([4, 7, 6, 3], activation=activation, seed=22)
     X = rng.standard_normal((12, 4))
     y = rng.integers(0, 3, 12)
     idx = np.array([9, 0, 5, 11, 3])
     w = np.array([0.3, 2.1, 0.0, 1.4, 1.2])
-    sel = Selection(idx, w)
-    grad = weighted_backward(model, X, y, sel, tape=forward_tape(model, X, y))
+    grad = backward(model, X, y, Selection(idx, w))
     expected = w @ per_example_grads(model, X, y)[idx] / idx.size
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(grad, weighted_backward(model, X, y, sel), rtol=1e-12, atol=0)
 
 
 def test_weighted_backward_rejects_a_tape_without_layer_inputs():
@@ -173,11 +148,12 @@ def test_weighted_backward_rejects_a_tape_without_layer_inputs():
 
 def test_weighted_backward_validation():
     model = Mlp.init([3, 6, 4], seed=15)
-    X = np.zeros((4, 3))
+    X, y = np.zeros((4, 3)), np.zeros(4, dtype=int)
+    tape = forward_tape(model, X, y)
     with pytest.raises(DimensionMismatch):
-        weighted_backward(model, X, np.zeros(4, dtype=int), Selection([4], [1.0]))
+        weighted_backward(model, X, y, Selection([4], [1.0]), tape=tape)
     with pytest.raises(DimensionMismatch):
-        weighted_backward(model, X, np.zeros(3, dtype=int), Selection([0], [1.0]))
+        weighted_backward(model, X, y[:3], Selection([0], [1.0]), tape=tape)
 
 
 def test_per_example_grads_duplicates_identical():

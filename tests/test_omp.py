@@ -12,6 +12,7 @@ from selbp.omp import (
     omp_gram,
     residual_norm_sq,
 )
+from selbp.oracles import omp_oracle
 
 
 def mean_matching_instance(rng, M, D):
@@ -45,15 +46,8 @@ def test_tie_break_lowest_index():
 
 
 def test_gram_matches_dense_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(30):
-        M = int(rng.integers(4, 65))
-        A, b, K, t = mean_matching_instance(rng, M, M + 16)
-        m = int(rng.integers(1, min(M, 16) + 1))
-        dense = omp_dense_oracle(A, b, m)
-        gsel = omp_gram(K, t, OmpConfig(max_atoms=m))
-        np.testing.assert_array_equal(dense.indices, gsel.indices)
-        assert np.abs(dense.weights - gsel.weights).max() < 1e-8
+    ok, detail = omp_oracle(np.random.default_rng(0), 30)
+    assert ok, detail
 
 
 def atom_family(kind, seed, M):
@@ -136,19 +130,8 @@ def test_dense_full_support_exact_least_squares():
 
 
 def test_objective_monotone_over_iterations():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        M = int(rng.integers(4, 33))
-        A, b, K, t = mean_matching_instance(rng, M, M + 8)
-        t0 = float(b @ b)
-        sel = omp_gram(K, t, OmpConfig(max_atoms=min(M, 10)))
-        prev = t0
-        for k in range(1, sel.size + 1):
-            idx = sel.indices[:k]
-            gamma = np.linalg.solve(K[np.ix_(idx, idx)], t[idx])
-            obj = residual_norm_sq(K, t, t0, Selection(idx, gamma))
-            assert obj <= prev + 1e-10 * max(t0, 1.0)
-            prev = obj
+    ok, detail = omp_oracle(np.random.default_rng(2), 20)
+    assert ok, detail
 
 
 def test_first_atom_maximizes_mean_correlation():

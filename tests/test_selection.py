@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +9,6 @@ from selbp.gram import BatchTape, gram_implicit, mean_correlations
 from selbp.model import Mlp, forward_tape, weighted_backward
 from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
-    LossBuffer,
     StrategyConfig,
     empirical_cdf,
     normalize_weights,
@@ -135,11 +136,11 @@ def test_loss_based_uniform_under_equal_losses():
 
 def test_loss_based_rolling_buffer_fills_and_is_used():
     cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
-    buffer = LossBuffer(16)
+    buffer = deque(maxlen=16)
     rng = np.random.default_rng(7)
     first = np.array([1.0, 2.0, 3.0, 4.0])
     select_loss_based(first, 2, cfg, buffer, rng)
-    np.testing.assert_array_equal(buffer.values(), first)
+    np.testing.assert_array_equal(np.array(buffer), first)
     # Second batch ranks against the buffered reference, not itself.
     second = np.array([0.5, 10.0, 0.1, 0.2])
     cdf_vs_buffer = empirical_cdf(second, first)
@@ -149,10 +150,12 @@ def test_loss_based_rolling_buffer_fills_and_is_used():
 
 
 def test_loss_buffer_evicts_fifo():
-    buf = LossBuffer(3)
-    buf.extend([1.0, 2.0])
-    buf.extend([3.0, 4.0])
-    np.testing.assert_array_equal(buf.values(), [2.0, 3.0, 4.0])
+    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
+    buffer = deque(maxlen=3)
+    rng = np.random.default_rng(10)
+    select_loss_based(np.array([1.0, 2.0]), 1, cfg, buffer, rng)
+    select_loss_based(np.array([3.0, 4.0]), 1, cfg, buffer, rng)
+    np.testing.assert_array_equal(np.array(buffer), [2.0, 3.0, 4.0])
 
 
 def test_loss_based_deterministic_given_seed():
@@ -224,7 +227,8 @@ def test_grad_match_drops_atoms_clipped_to_zero():
     model = Mlp.init([4, 8, 3], seed=30)
     X = rng.standard_normal((16, 4))
     y = rng.integers(0, 3, 16)
-    K = gram_implicit(forward_tape(model, X, y))
+    tape = forward_tape(model, X, y)
+    K = gram_implicit(tape)
     raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=8))
     assert (raw.weights < 0).sum() == 1
 
@@ -235,8 +239,8 @@ def test_grad_match_drops_atoms_clipped_to_zero():
     kept = Selection(raw.indices, normalize_weights(raw.weights, raw.size))
     np.testing.assert_array_equal(sel.indices, raw.indices[raw.weights > 0])
     np.testing.assert_allclose(
-        weighted_backward(model, X, y, sel),
-        weighted_backward(model, X, y, kept),
+        weighted_backward(model, X, y, sel, tape=tape),
+        weighted_backward(model, X, y, kept, tape=tape),
         rtol=1e-12, atol=1e-15,
     )
 

@@ -5,8 +5,7 @@ import pytest
 
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import BadFraction, TrainingDiverged
-from selbp.model import Mlp, forward_tape, weighted_backward
-from selbp.omp import Selection
+from selbp.model import Mlp
 from selbp.selection import StrategyConfig
 from selbp.trainer import (
     METRICS_FIELDS,
@@ -204,28 +203,7 @@ def test_plain_sgd_reduces_to_gradient_step():
 # ------------------------------------------------------------- training loop
 
 
-def plain_sgd_loop(cfg, dataset, model):
-    """Reference minibatch-SGD loop mirroring the trainer's RNG usage."""
-    rng = np.random.default_rng(cfg.seed)
-    theta = model.get_params()
-    vel = np.zeros_like(theta)
-    N = dataset.X_train.shape[0]
-    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
-    for epoch in range(cfg.total_epochs):
-        lr = lr_at(cfg, epoch)
-        perm = rng.permutation(N)
-        for start in range(0, N, cfg.base_batch):
-            b = perm[start : start + cfg.base_batch]
-            Xb, yb = dataset.X_train[b], dataset.y_train[b]
-            forward_tape(model, Xb, yb)  # the selection pass
-            sel = Selection(np.arange(len(b)), np.ones(len(b)))
-            g = weighted_backward(model, Xb, yb, sel) + cfg.weight_decay * theta
-            theta, vel = sgd_update(theta, vel, g, lr, mu, cfg.nesterov)
-            model.set_params(theta)
-    return model.get_params()
-
-
-def test_full_fraction_random_is_bitwise_plain_sgd():
+def test_full_fraction_random_is_bitwise_plain_sgd(plain_sgd_reference):
     ds = small_blobs()
     cfg = TrainConfig(
         base_batch=64, fraction=1.0, epochs=3, base_lr=0.05,
@@ -234,7 +212,7 @@ def test_full_fraction_random_is_bitwise_plain_sgd():
     m1 = Mlp.init([2, 16, 3], seed=9)
     run_training(cfg, StrategyConfig(kind="random", fraction=1.0), ds, m1)
     m2 = Mlp.init([2, 16, 3], seed=9)
-    ref = plain_sgd_loop(cfg, ds, m2)
+    ref = plain_sgd_reference(cfg, ds, m2)
     np.testing.assert_array_equal(m1.get_params(), ref)
 
 
