@@ -15,18 +15,11 @@ from .errors import (
     TrainingDiverged,
 )
 from .gram import BatchTape, gram_explicit, gram_implicit, mean_correlations
-from .model import (
-    Mlp,
-    forward_tape,
-    last_layer_grad_check,
-    per_example_grads,
-    weighted_backward,
-)
+from .model import Mlp, forward_tape, per_example_grads, weighted_backward
 from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
 from .selection import (
     StrategyConfig,
     empirical_cdf,
-    normalize_weights,
     select_grad_match,
     select_loss_based,
     select_random,

@@ -12,25 +12,19 @@ from .errors import ParseError, UnknownKey
 from .selection import StrategyConfig
 from .trainer import TrainConfig
 
-# Named training presets (optimizer, schedule, budget, batch size).
+# Named training presets (momentum, schedule, budget, batch size).
 PRESETS = {
     "cifar_style": dict(
-        optimizer="sgd_momentum", momentum=0.9, nesterov=True,
-        weight_decay=5e-4, epochs=200, base_lr=0.1,
-        schedule="step", milestones=(60, 120, 160), decay_factor=0.2,
-        base_batch=128,
+        momentum=0.9, nesterov=True, weight_decay=5e-4, epochs=200, base_lr=0.1,
+        schedule="step", milestones=(60, 120, 160), decay_factor=0.2, base_batch=128,
     ),
     "svhn_style": dict(
-        optimizer="sgd_momentum", momentum=0.9, nesterov=True,
-        weight_decay=5e-4, epochs=80, base_lr=0.01,
-        schedule="cosine", milestones=(), decay_factor=0.2,
-        base_batch=128,
+        momentum=0.9, nesterov=True, weight_decay=5e-4, epochs=80, base_lr=0.01,
+        schedule="cosine", milestones=(), decay_factor=0.2, base_batch=128,
     ),
     "imagenet32_style": dict(
-        optimizer="sgd_momentum", momentum=0.9, nesterov=False,
-        weight_decay=5e-4, epochs=40, base_lr=0.01,
-        schedule="step", milestones=(10, 20, 30), decay_factor=0.2,
-        base_batch=128,
+        momentum=0.9, nesterov=False, weight_decay=5e-4, epochs=40, base_lr=0.01,
+        schedule="step", milestones=(10, 20, 30), decay_factor=0.2, base_batch=128,
     ),
 }
 
@@ -122,7 +116,6 @@ KNOWN_KEYS = {
     "train.base_batch": ("train", "base_batch", _INT),
     "train.batch_mode": ("train", "batch_mode", _str),
     "train.epochs": ("train", "epochs", _INT),
-    "train.optimizer": ("train", "optimizer", _str),
     "train.momentum": ("train", "momentum", _FLOAT),
     "train.nesterov": ("train", "nesterov", _bool),
     "train.weight_decay": ("train", "weight_decay", _FLOAT),
@@ -137,7 +130,6 @@ KNOWN_KEYS = {
     "strategy.kinds": ("spec", "strategy_kinds", _strs),
     "strategy.cdf_source": ("strategy", "cdf_source", _str),
     "strategy.buffer_capacity": ("strategy", "buffer_capacity", _opt_int),
-    "strategy.pad_to_m": ("strategy", "pad_to_m", _bool),
     "grid.fractions": ("spec", "fractions", _floats),
     "grid.seeds": ("spec", "seeds", _ints),
     "eval.num_batches": ("spec", "eval_num_batches", _INT),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gram import BatchTape, explicit_gradients
+from .gram import BatchTape
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -186,15 +186,3 @@ def per_example_grads(model, X, y):
 
     return np.concatenate(blocks, axis=1)
 
-
-def last_layer_grad_check(model, X, y):
-    """Max relative discrepancy between (p_i h_i^T, p_i) and the true last-layer
-    gradient block; a standing self-test of the implicit construction."""
-    built = explicit_gradients(forward_tape(model, X, y))
-    full = per_example_grads(model, X, y)
-    last_size = built.shape[1]
-    actual = full[:, -last_size:]
-    scale = max(np.abs(actual).max(), np.abs(built).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(built - actual).max() / scale)

@@ -10,11 +10,11 @@ are solved for once, at the end (``batch_omp_factor`` is the greedy pass
 up to that solve). ``omp_dense_oracle`` is the textbook
 implementation on explicit vectors, used as the reference in tests.
 
-The greedy step picks the raw (signed) maximum correlation; set
-``abs_correlation`` for the usual absolute-value criterion.
+The greedy step picks the raw (signed) maximum correlation and stops once
+no available atom correlates positively with the residual.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -22,7 +22,7 @@ from scipy.linalg import solve_triangular
 from .errors import DimensionMismatch, EmptySelection
 
 # Pivot threshold relative to the new atom's self-inner-product.
-DEFAULT_PIVOT_TOL = 1e-12
+PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,10 @@ class Selection:
 @dataclass(frozen=True)
 class OmpConfig:
     max_atoms: int
-    residual_tol: float = 0.0
-    pivot_tol: float = DEFAULT_PIVOT_TOL
-    abs_correlation: bool = False
 
     def __post_init__(self):
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
-        if self.residual_tol < 0 or self.pivot_tol < 0:
-            raise ValueError("tolerances must be >= 0")
 
 
 def omp_gram(K, t, cfg):
@@ -72,7 +67,7 @@ def omp_gram(K, t, cfg):
 
     Returns the raw selection (unnormalized weights; may hold fewer than
     ``max_atoms`` atoms when correlations are exhausted or the next atom's
-    Cholesky pivot falls to ``pivot_tol`` times its self-inner-product,
+    Cholesky pivot falls to ``PIVOT_TOL`` times its self-inner-product,
     which marks a (near-)duplicate). Raises :class:`EmptySelection` when no
     atom can be selected.
     """
@@ -106,14 +101,13 @@ def batch_omp_factor(K, t, cfg):
     indices = []
 
     for n in range(m):
-        score = np.abs(alpha) if cfg.abs_correlation else alpha
-        masked = np.where(available, score, -np.inf)
+        masked = np.where(available, alpha, -np.inf)
         k = int(np.argmax(masked))  # ties break toward the lowest index
-        if masked[k] <= cfg.residual_tol:
+        if masked[k] <= 0.0:
             break
         w = Q[k, :n]
         pivot = K[k, k] - w @ w
-        if pivot <= cfg.pivot_tol * K[k, k]:
+        if pivot <= PIVOT_TOL * K[k, k]:
             break
         d = np.sqrt(pivot)
         L[n, :n] = w
@@ -130,7 +124,7 @@ def batch_omp_factor(K, t, cfg):
     return np.array(indices), L[:n, :n], z[:n]
 
 
-def omp_dense_oracle(atoms, target, m, residual_tol=0.0, abs_correlation=False):
+def omp_dense_oracle(atoms, target, m):
     """Textbook OMP on explicit atom vectors (rows of ``atoms``).
 
     Reference implementation for tests: greedy residual-correlation selection
@@ -152,11 +146,9 @@ def omp_dense_oracle(atoms, target, m, residual_tol=0.0, abs_correlation=False):
     gamma = np.zeros(0)
 
     while len(indices) < m:
-        corr = A @ resid
-        score = np.abs(corr) if abs_correlation else corr
-        masked = np.where(available, score, -np.inf)
+        masked = np.where(available, A @ resid, -np.inf)
         k = int(np.argmax(masked))
-        if masked[k] <= residual_tol:
+        if masked[k] <= 0.0:
             if not indices:
                 raise EmptySelection("no atom correlates with the target")
             break

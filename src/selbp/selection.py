@@ -6,8 +6,8 @@ Three strategies behind one interface, all returning a :class:`Selection`:
 * ``select_loss_based`` — keep probability CDF(loss)^beta with beta = M/m,
   realized as exact-size weighted sampling without replacement.
 * ``select_grad_match`` — Gram-OMP approximation of the minibatch mean
-  gradient using last-layer inner products, with clipped and normalized
-  weights.
+  gradient using last-layer inner products, keeping the positive weights
+  rescaled to sum to the selection size.
 """
 
 import logging
@@ -31,7 +31,6 @@ class StrategyConfig:
     fraction: float = 0.5
     cdf_source: str = "within_batch"
     buffer_capacity: int | None = None
-    pad_to_m: bool = False
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -104,26 +103,13 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     return Selection(idx, np.ones(m))
 
 
-def normalize_weights(weights, n_selected):
-    """Clip weights to be non-negative and rescale them to sum to the
-    selection size, so unit weights recover plain averaging.
-
-    Raises :class:`EmptySelection` when everything clips to zero.
-    """
-    g = np.maximum(np.asarray(weights, dtype=np.float64), 0.0)
-    l1 = g.sum()
-    if l1 <= 0.0:
-        raise EmptySelection("all weights clipped to zero")
-    return n_selected * g / l1
-
-
-def select_grad_match(K, m, cfg, rng):
+def select_grad_match(K, m, rng):
     """Gram-OMP selection of the weighted subset matching the mean gradient.
 
     Runs OMP on (K, row means of K), drops the atoms whose weight is not
     positive (clipped to zero, they would be backpropagated for nothing),
     then rescales so the weights sum to |I|. Falls back to random selection
-    when nothing correlates with the mean gradient or all weights clip to zero.
+    when nothing correlates with the mean gradient or no weight is positive.
     """
     K = np.asarray(K, dtype=np.float64)
     M = K.shape[0]
@@ -132,21 +118,13 @@ def select_grad_match(K, m, cfg, rng):
     if m > M:
         raise DimensionMismatch(f"m {m} exceeds batch size {M}")
 
-    t = mean_correlations(K)
     try:
-        raw = omp_gram(K, t, OmpConfig(max_atoms=m))
+        raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=m))
         keep = raw.weights > 0.0
-        g = normalize_weights(raw.weights[keep], int(keep.sum()))
-        sel = Selection(raw.indices[keep], g)
+        if not keep.any():
+            raise EmptySelection("no OMP weight is positive")
     except EmptySelection:
         logger.warning("grad_match fell back to random selection")
         return select_random(M, m, rng)
-
-    if cfg.pad_to_m and sel.size < m:
-        rest = np.setdiff1d(np.arange(M), sel.indices)
-        extra = rng.choice(rest, size=m - sel.size, replace=False)
-        sel = Selection(
-            np.concatenate([sel.indices, extra]),
-            np.concatenate([sel.weights, np.ones(m - sel.size)]),
-        )
-    return sel
+    g = raw.weights[keep]
+    return Selection(raw.indices[keep], g.size * g / g.sum())

@@ -21,7 +21,6 @@ from .omp import Selection
 from .selection import select_grad_match, select_loss_based, select_random
 
 SCHEDULES = ("constant", "step", "cosine")
-OPTIMIZERS = ("sgd_momentum", "plain_sgd")
 BATCH_MODES = ("fixed", "scaled")
 
 
@@ -31,8 +30,7 @@ class TrainConfig:
     fraction: float = 1.0
     batch_mode: str = "fixed"
     epochs: int = 20
-    optimizer: str = "sgd_momentum"
-    momentum: float = 0.9
+    momentum: float = 0.9  # 0 gives plain SGD
     nesterov: bool = True
     weight_decay: float = 0.0
     schedule: str = "constant"
@@ -49,8 +47,6 @@ class TrainConfig:
             raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch_mode {self.batch_mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         ms = tuple(self.milestones)
@@ -172,28 +168,31 @@ def select_subset(strategy, tape, m, buffer, rng):
         return select_random(tape.M, m, rng)
     if strategy.kind == "loss_based":
         return select_loss_based(tape.losses, m, strategy, buffer, rng)
-    return select_grad_match(gram_implicit(tape), m, strategy, rng)
+    return select_grad_match(gram_implicit(tape), m, rng)
 
 
 def run_training(cfg, strategy, dataset, model):
     """Train ``model`` in place; returns one MetricsRecord per epoch.
 
     Raises :class:`TrainingDiverged` (carrying the records so far plus a
-    diagnostic row) when a non-finite loss appears.
+    diagnostic row) when a non-finite loss appears, and :class:`BadFraction`
+    when scaled mode's forward batch exceeds the training set.
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
+    N = X.shape[0]
+    M, m_nominal = resolve_batch_sizes(cfg)
+    if cfg.batch_mode == "scaled" and M > N:
+        raise BadFraction(
+            f"scaled mode's forward batch M={M} exceeds the N={N} training rows"
+        )
     if cfg.label_noise > 0:
         y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
 
-    M, m_nominal = resolve_batch_sizes(cfg)
     buffer = deque(maxlen=strategy.buffer_capacity or 8 * cfg.base_batch)
-
     theta = model.get_params()
     velocity = np.zeros_like(theta)
-    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
 
-    N = X.shape[0]
     records = []
     step = 0
     backprop_cum = 0
@@ -230,7 +229,7 @@ def run_training(cfg, strategy, dataset, model):
             grad = weighted_backward(model, Xb, yb, sel, tape=tape)
             if cfg.weight_decay:
                 grad = grad + cfg.weight_decay * theta
-            sgd_update(theta, velocity, grad, lr, mu, cfg.nesterov)
+            sgd_update(theta, velocity, grad, lr, cfg.momentum, cfg.nesterov)
             model.set_params(theta)
 
             step += 1

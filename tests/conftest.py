@@ -13,7 +13,6 @@ def _plain_sgd(cfg, dataset, model):
     theta = model.get_params()
     vel = np.zeros_like(theta)
     N = dataset.X_train.shape[0]
-    mu = cfg.momentum if cfg.optimizer == "sgd_momentum" else 0.0
     for epoch in range(cfg.total_epochs):
         lr = lr_at(cfg, epoch)
         perm = rng.permutation(N)
@@ -23,7 +22,7 @@ def _plain_sgd(cfg, dataset, model):
             tape = forward_tape(model, Xb, yb)
             sel = Selection(np.arange(len(b)), np.ones(len(b)))
             g = weighted_backward(model, Xb, yb, sel, tape=tape) + cfg.weight_decay * theta
-            theta, vel = sgd_update(theta, vel, g, lr, mu, cfg.nesterov)
+            theta, vel = sgd_update(theta, vel, g, lr, cfg.momentum, cfg.nesterov)
             model.set_params(theta)
     return model.get_params()
 

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from selbp.config import (
     KNOWN_KEYS,
     PRESETS,
+    SECTIONS,
     ExperimentSpec,
     dump_config,
     load_config,
@@ -29,11 +32,13 @@ def test_empty_config_lists_required_keys():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(UnknownKey, match="optimizer.magic"):
-        parse_config_text(MINIMAL + "optimizer.magic = adam\n")
-    # Weights are always clipped to be non-negative; there is no switch.
-    with pytest.raises(UnknownKey, match="strategy.clip_negative"):
-        parse_config_text(MINIMAL + "strategy.clip_negative = false\n")
+    with pytest.raises(UnknownKey, match="solver.magic"):
+        parse_config_text(MINIMAL + "solver.magic = adam\n")
+    # Removed keys: weights are always clipped to be non-negative, plain SGD
+    # is train.momentum = 0, and grad_match never pads its subset.
+    for key in ("strategy.clip_negative", "train.optimizer", "strategy.pad_to_m"):
+        with pytest.raises(UnknownKey, match=key):
+            parse_config_text(MINIMAL + f"{key} = false\n")
 
 
 def test_strategy_keys_fill_the_strategy_template():
@@ -41,16 +46,12 @@ def test_strategy_keys_fill_the_strategy_template():
         MINIMAL
         + "strategy.cdf_source = rolling_buffer\n"
         + "strategy.buffer_capacity = 64\n"
-        + "strategy.pad_to_m = true\n"
     )
-    assert spec.strategy == StrategyConfig(
-        cdf_source="rolling_buffer", buffer_capacity=64, pad_to_m=True
-    )
+    assert spec.strategy == StrategyConfig(cdf_source="rolling_buffer", buffer_capacity=64)
     assert parse_config_text(dump_config(spec)) == spec
     sc = spec.strategy_config("loss_based", 0.25)
     assert sc == StrategyConfig(
-        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer",
-        buffer_capacity=64, pad_to_m=True,
+        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer", buffer_capacity=64,
     )
     assert spec.strategy.kind == "random"  # template untouched
 
@@ -107,7 +108,6 @@ def test_grid_and_strategy_lists():
 def test_cifar_style_preset_fields():
     spec = parse_config_text(MINIMAL + "preset = cifar_style\n")
     t = spec.train
-    assert t.optimizer == "sgd_momentum"
     assert t.momentum == 0.9 and t.nesterov is True
     assert t.weight_decay == 5e-4
     assert t.epochs == 200 and t.base_lr == 0.1
@@ -177,9 +177,10 @@ def test_load_config_file(tmp_path):
 
 
 def test_derived_configs():
-    spec = parse_config_text(MINIMAL + "strategy.pad_to_m = true\n")
+    spec = parse_config_text(MINIMAL + "strategy.cdf_source = rolling_buffer\n")
     sc = spec.strategy_config("grad_match", 0.25)
-    assert sc.kind == "grad_match" and sc.fraction == 0.25 and sc.pad_to_m
+    assert sc.kind == "grad_match" and sc.fraction == 0.25
+    assert sc.cdf_source == "rolling_buffer"
     tc = spec.train_config(0.25, seed=7)
     assert tc.fraction == 0.25 and tc.seed == 7
     assert spec.train.fraction == 1.0  # base config untouched
@@ -198,3 +199,14 @@ def test_every_known_key_parseable():
             "strategy": spec.strategy,
         }[target]
         assert hasattr(obj, attr), key
+
+
+def test_every_section_field_has_a_key():
+    # The reverse: a section field without a key would not survive
+    # dump_config/parse_config_text. Only the grid sets the strategy kind and
+    # each cell's fraction.
+    keyed = {(target, attr) for target, attr, _ in KNOWN_KEYS.values()}
+    grid = {("strategy", "kind"), ("strategy", "fraction"), ("train", "fraction")}
+    for name, cls in SECTIONS.items():
+        for f in fields(cls):
+            assert (name, f.name) in keyed | grid, f"{name}.{f.name}"

@@ -2,8 +2,9 @@
 
 ``batch_omp_factor`` grows the lower Cholesky factor L of the active
 sub-Gram matrix K[I, I] one row per selected atom; ``omp_gram`` then solves
-K[I, I] gamma = t[I] through L. With ``abs_correlation`` and no residual
-tolerance every independent atom of a small positive-definite K is taken.
+K[I, I] gamma = t[I] through L. With the training target t = K.mean(axis=1)
+(or a positive right-hand side on a diagonal K) every atom of a small
+positive-definite K is taken.
 """
 
 import numpy as np
@@ -16,14 +17,12 @@ from selbp.omp import OmpConfig, batch_omp_factor, omp_gram
 def take_all(K, t=None, m=None):
     """Run the greedy pass over every atom of K; returns (indices, L, z)."""
     n = K.shape[0]
-    t = np.arange(1.0, n + 1) if t is None else np.asarray(t, dtype=np.float64)
-    cfg = OmpConfig(max_atoms=n if m is None else m, abs_correlation=True)
-    return batch_omp_factor(K, t, cfg)
+    t = K.mean(axis=1) if t is None else np.asarray(t, dtype=np.float64)
+    return batch_omp_factor(K, t, OmpConfig(max_atoms=n if m is None else m))
 
 
 def solve_all(K, t):
-    n = K.shape[0]
-    return omp_gram(K, t, OmpConfig(max_atoms=n, abs_correlation=True))
+    return omp_gram(K, t, OmpConfig(max_atoms=K.shape[0]))
 
 
 def active_block(K, idx):
@@ -81,13 +80,14 @@ def test_existing_block_unchanged_by_append():
 
 
 def test_duplicate_column_raises_singular():
-    # The dependent atom's Cholesky pivot is zero, so the pass stops there
-    # instead of factoring a singular block.
+    # Once one twin is in, the other's correlation with the residual is zero
+    # up to rounding; a rounding-positive one meets a zero Cholesky pivot. The
+    # pass stops either way instead of factoring a singular block.
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 6))
     A = np.vstack([A, A[1]])  # exact repeat
     K = A @ A.T
-    idx, L, _ = take_all(K, rng.standard_normal(4))
+    idx, L, _ = take_all(K)
     assert len(idx) < 4
     assert not {1, 3} <= set(idx.tolist())
     assert (np.diag(L) > 0).all()
@@ -101,9 +101,9 @@ def test_nonpositive_leading_pivot_raises():
 
 
 def test_solve_identity():
-    sel = solve_all(np.eye(2), np.array([3.0, -1.0]))
+    sel = solve_all(np.eye(2), np.array([3.0, 1.0]))
     np.testing.assert_array_equal(sel.indices, [0, 1])
-    np.testing.assert_array_equal(sel.weights, [3.0, -1.0])
+    np.testing.assert_array_equal(sel.weights, [3.0, 1.0])
 
 
 def test_solve_scalar():
@@ -114,7 +114,7 @@ def test_solve_scalar():
 def test_solve_residual_small():
     rng = np.random.default_rng(3)
     K = random_spd(6, rng)
-    rhs = rng.standard_normal(6)
+    rhs = K.mean(axis=1)
     sel = solve_all(K, rhs)
     assert sel.size == 6
     x = np.zeros(6)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from selbp.errors import BadFraction, EmptySelection
+import selbp.selection
+from selbp.errors import BadFraction
 from selbp.gram import BatchTape, gram_implicit, mean_correlations
 from selbp.model import Mlp, forward_tape, weighted_backward
 from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
     StrategyConfig,
     empirical_cdf,
-    normalize_weights,
     select_grad_match,
     select_loss_based,
     select_random,
@@ -179,21 +179,9 @@ def identical_batch_gram(M=6):
 
 def test_grad_match_collapses_duplicates():
     K = identical_batch_gram()
-    sel = select_grad_match(K, 3, StrategyConfig(kind="grad_match"), np.random.default_rng(0))
+    sel = select_grad_match(K, 3, np.random.default_rng(0))
     np.testing.assert_array_equal(sel.indices, [0])
     np.testing.assert_array_equal(sel.weights, [1.0])
-
-
-def test_normalize_weights_example():
-    np.testing.assert_allclose(normalize_weights([0.2, 0.6], 2), [0.5, 1.5])
-
-
-def test_normalize_weights_clips_then_normalizes():
-    out = normalize_weights([-0.5, 1.0, 1.0], 3)
-    np.testing.assert_allclose(out, [0.0, 1.5, 1.5])
-    assert out.sum() == 3.0
-    with pytest.raises(EmptySelection):
-        normalize_weights([-1.0, -2.0], 2)
 
 
 def test_grad_match_full_support_unit_weights():
@@ -201,24 +189,23 @@ def test_grad_match_full_support_unit_weights():
     model = Mlp.init([3, 8, 3], seed=2)
     tape = forward_tape(model, rng.standard_normal((8, 3)), rng.integers(0, 3, 8))
     K = gram_implicit(tape)
-    sel = select_grad_match(K, 8, StrategyConfig(kind="grad_match"), rng)
+    sel = select_grad_match(K, 8, rng)
     assert sel.size == 8
     np.testing.assert_allclose(sel.weights, np.ones(8), atol=1e-8)
 
 
-def test_grad_match_falls_back_to_random_on_zero_gram():
+def test_grad_match_falls_back_to_random_on_zero_gram(monkeypatch):
     K = np.zeros((6, 6))
-    sel = select_grad_match(K, 2, StrategyConfig(kind="grad_match"), np.random.default_rng(11))
+    sel = select_grad_match(K, 2, np.random.default_rng(11))
     assert sel.size == 2
     np.testing.assert_array_equal(sel.weights, np.ones(2))
 
-
-def test_grad_match_pad_to_m():
-    K = identical_batch_gram()
-    cfg = StrategyConfig(kind="grad_match", pad_to_m=True)
-    sel = select_grad_match(K, 3, cfg, np.random.default_rng(12))
-    assert sel.size == 3
-    assert len(np.unique(sel.indices)) == 3
+    # Atoms found, but no weight positive: nothing is left to backprop.
+    monkeypatch.setattr(selbp.selection, "omp_gram",
+                        lambda K, t, cfg: Selection([0, 1], [-1.0, 0.0]))
+    sel = select_grad_match(np.eye(6), 2, np.random.default_rng(11))
+    assert sel.size == 2
+    np.testing.assert_array_equal(sel.weights, np.ones(2))
 
 
 def test_grad_match_drops_atoms_clipped_to_zero():
@@ -232,12 +219,19 @@ def test_grad_match_drops_atoms_clipped_to_zero():
     raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=8))
     assert (raw.weights < 0).sum() == 1
 
-    sel = select_grad_match(K, 8, StrategyConfig(kind="grad_match"), rng)
+    sel = select_grad_match(K, 8, rng)
     assert sel.size == 7
     assert (sel.weights > 0).all()
     assert abs(sel.weights.sum() - sel.size) < 1e-12
-    kept = Selection(raw.indices, normalize_weights(raw.weights, raw.size))
-    np.testing.assert_array_equal(sel.indices, raw.indices[raw.weights > 0])
+    # The positive OMP weights, rescaled to sum to the 7 kept atoms.
+    positive = raw.weights > 0
+    np.testing.assert_array_equal(sel.indices, raw.indices[positive])
+    np.testing.assert_allclose(
+        sel.weights, 7 * raw.weights[positive] / raw.weights[positive].sum(), rtol=1e-15
+    )
+    # The negative atom clipped to zero and kept changes nothing.
+    clipped = np.maximum(raw.weights, 0.0)
+    kept = Selection(raw.indices, raw.size * clipped / clipped.sum())
     np.testing.assert_allclose(
         weighted_backward(model, X, y, sel, tape=tape),
         weighted_backward(model, X, y, kept, tape=tape),
@@ -256,7 +250,7 @@ def test_grad_match_contracts():
         )
         K = gram_implicit(tape)
         m = int(rng.integers(1, M + 1))
-        sel = select_grad_match(K, m, StrategyConfig(kind="grad_match"), rng)
+        sel = select_grad_match(K, m, rng)
         assert sel.size <= m
         assert len(np.unique(sel.indices)) == sel.size
         assert (sel.indices < M).all()

@@ -47,6 +47,15 @@ def test_full_fraction_is_identity_in_both_modes():
         assert resolve_batch_sizes(cfg) == (128, 128)
 
 
+def test_scaled_mode_rejects_a_forward_batch_beyond_the_training_set():
+    ds = small_blobs(n=300)  # 240 training rows
+    cfg = TrainConfig(base_batch=64, fraction=0.1, batch_mode="scaled", epochs=1)
+    assert resolve_batch_sizes(cfg) == (640, 64)
+    with pytest.raises(BadFraction, match="M=640.*N=240"):
+        run_training(cfg, StrategyConfig(kind="random", fraction=0.1), ds,
+                     Mlp.init([2, 8, 3], seed=1))
+
+
 def test_tiny_fraction_rejected():
     cfg = TrainConfig(base_batch=4, fraction=0.01, batch_mode="fixed")
     with pytest.raises(BadFraction):
@@ -158,7 +167,7 @@ def test_label_noise_reproducible():
     np.testing.assert_array_equal(a, b)
 
 
-# ------------------------------------------------------------- optimizer
+# ------------------------------------------------------------- update rule
 
 
 def test_nesterov_matches_two_step_oracle_on_quadratic():
