@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import forward_tape, weighted_backward
+from .model import CHUNK_ROWS, forward_tape, weighted_backward
 from .omp import Selection
 from .trainer import select_subset
 
@@ -26,7 +26,7 @@ class GradErrorSample:
     squared_error: float
 
 
-def full_dataset_gradient(model, X, y, chunk_size=512):
+def full_dataset_gradient(model, X, y, chunk_size=CHUNK_ROWS):
     """Exact mean gradient over the whole set, streamed in chunks. Raises
     ``ValueError`` when a chunk's activations or losses are not finite."""
     N = X.shape[0]

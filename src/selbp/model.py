@@ -16,6 +16,9 @@ from .gram import BatchTape
 
 ACTIVATIONS = ("relu", "tanh")
 
+# Rows per forward pass when a whole set is evaluated or its gradient summed.
+CHUNK_ROWS = 512
+
 
 def _act(z, kind):
     """The hidden activation, applied in place."""
@@ -94,11 +97,12 @@ def _forward(model, X):
             f"X has shape {X.shape}, expected (*, {model.layers[0][0].shape[1]})"
         )
     a = [X]
-    for W, b in model.layers[:-1]:
-        z = a[-1] @ W.T + b
-        a.append(_act(z, model.activation))
-    W, b = model.layers[-1]
-    return a, a[-1] @ W.T + b
+    last = len(model.layers) - 1
+    for li, (W, b) in enumerate(model.layers):
+        z = np.matmul(a[-1], W.T)
+        z += b  # bitwise a[-1] @ W.T + b, without a second array
+        a.append(z if li == last else _act(z, model.activation))
+    return a[:-1], a[-1]
 
 
 def _softmax_stats(logits, y):
@@ -138,7 +142,19 @@ def predict(model, X):
 
 
 def accuracy(model, X, y):
-    return float((predict(model, X) == np.asarray(y).reshape(-1)).mean())
+    """Share of rows whose argmax logit is the label, ``CHUNK_ROWS`` rows at a
+    time. Raises ``ValueError`` when a logit is not finite."""
+    y = np.asarray(y).reshape(-1)
+    N = np.shape(X)[0]
+    if not 0 < N == y.shape[0]:
+        raise DimensionMismatch(f"need rows, one label each, got {N} rows and {y.size} labels")
+    correct = 0
+    for start in range(0, N, CHUNK_ROWS):
+        logits = _forward(model, X[start : start + CHUNK_ROWS])[1]  # drops the activations
+        if not np.isfinite(logits).all():
+            raise ValueError("logits contain non-finite entries")
+        correct += np.count_nonzero(logits.argmax(axis=1) == y[start : start + CHUNK_ROWS])
+    return correct / N
 
 
 def weighted_backward(model, X, y, sel, *, tape):
@@ -147,14 +163,16 @@ def weighted_backward(model, X, y, sel, *, tape):
     ``tape`` is what :func:`forward_tape` returned for the batch ``X``, ``y``;
     only the selected rows of its layer inputs and P are read, and no forward
     pass runs. Unit weights over the full batch give the minibatch mean
-    gradient. Returns a fresh flat parameter-layout vector.
+    gradient; a whole-batch selection in order reads the tape's arrays
+    without gathering them. Returns a fresh flat parameter-layout vector.
     """
     if not tape.M == np.shape(X)[0] == np.size(y) or len(tape.inputs) != len(model.layers):
         raise DimensionMismatch("tape does not hold this batch's layer inputs")
     if (sel.indices >= tape.M).any():
         raise DimensionMismatch("selection index outside the batch")
-    a = [h[sel.indices] for h in tape.inputs]
-    P = tape.P[sel.indices]
+    whole = sel.size == tape.M and (sel.indices == np.arange(tape.M)).all()
+    a = tape.inputs if whole else [h[sel.indices] for h in tape.inputs]
+    P = tape.P if whole else tape.P[sel.indices]
 
     delta = (sel.weights / sel.size)[:, None] * P
     grad = np.empty(model.n_params)

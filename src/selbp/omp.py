@@ -2,22 +2,25 @@
 
 ``omp_gram`` runs entirely on inner products: the Gram matrix K = A^T A of
 the atoms and the correlation vector t = A^T b with the target. It is
-Batch-OMP (Rubinstein, Zibulevsky & Elad 2008): on preallocated arrays it
-grows the Cholesky factor L of the active sub-Gram matrix together with
-Q = K[:, I] L^-T and z = L^-1 t_I, so each new atom costs one matrix-vector
-product and the correlations are updated by one rank-one step. The weights
-are solved for once, at the end (``batch_omp_factor`` is the greedy pass
-up to that solve). ``omp_dense_oracle`` is the textbook
-implementation on explicit vectors, used as the reference in tests.
+Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) on preallocated arrays: it
+keeps Q = K[:, I] L^-T transposed, so each new atom costs one matrix-vector
+product writing one contiguous row, and the correlations one rank-one step
+(a taken atom's is set to -inf). Rows I of Q are the Cholesky factor L of
+K[I, I], read off at the end; the weights L^-T z, z = L^-1 t_I, are solved
+for once (``batch_omp_factor`` is the greedy pass up to that solve).
+``omp_dense_oracle`` is the textbook implementation on explicit vectors,
+used as the reference in tests.
 
 The greedy step picks the raw (signed) maximum correlation and stops once
 no available atom correlates positively with the residual.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import daxpy, dgemv
 
 from .errors import DimensionMismatch, EmptySelection
 
@@ -81,8 +84,8 @@ def batch_omp_factor(K, t, cfg):
 
     Returns ``(indices, L, z)``: the n selected atoms in selection order, the
     n x n lower Cholesky factor L of ``K[I, I]`` and ``z = L^-1 t[I]``, so the
-    weights are ``L^-T z``. Row j of L is written when atom j enters and never
-    changed afterwards.
+    weights are ``L^-T z``. ``K`` must be symmetric, as every Gram matrix is.
+    Row j of L is row ``I[j]`` of Q, fixed once atom j enters.
     """
     K = np.asarray(K, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -93,35 +96,34 @@ def batch_omp_factor(K, t, cfg):
     if m > M:
         raise DimensionMismatch(f"max_atoms {m} exceeds batch size {M}")
 
-    L = np.zeros((m, m))
-    Q = np.zeros((M, m))
-    z = np.zeros(m)
-    alpha = t.copy()
-    available = np.ones(M, dtype=bool)
+    Qt = np.empty((m, M))  # Q transposed: atom n writes its contiguous row n
+    z = np.empty(m)
+    alpha = t.copy()  # correlations with the residual; -inf marks a taken atom
     indices = []
 
     for n in range(m):
-        masked = np.where(available, alpha, -np.inf)
-        k = int(np.argmax(masked))  # ties break toward the lowest index
-        if masked[k] <= 0.0:
+        k = int(alpha.argmax())  # ties break toward the lowest index
+        corr = float(alpha[k])  # t[k] - w . z[:n]
+        if corr <= 0.0:
             break
-        w = Q[k, :n]
-        pivot = K[k, k] - w @ w
+        w = Qt[:n, k]
+        pivot = float(K[k, k] - w @ w)
         if pivot <= PIVOT_TOL * K[k, k]:
             break
-        d = np.sqrt(pivot)
-        L[n, :n] = w
-        L[n, n] = d
-        Q[:, n] = (K[:, k] - Q[:, :n] @ w) / d
-        z[n] = (t[k] - w @ z[:n]) / d
-        alpha -= Q[:, n] * z[n]
+        d = math.sqrt(pivot)
+        # Row n of Qt is (K[k] - w Qt[:n]) / d, K[k] being column k of the symmetric K.
+        Qt[n] = dgemv(-1.0 / d, Qt[:n].T, w, beta=1.0 / d, y=K[k]) if n else K[k] / d
+        Qt[n, k] = d  # L's diagonal exactly, not its rounded recomputation
+        z[n] = corr / d
+        alpha = daxpy(Qt[n], alpha, a=-z[n])  # alpha -= z[n] Qt[n], in place
+        alpha[k] = -np.inf
         indices.append(k)
-        available[k] = False
 
     n = len(indices)
     if n == 0:
         raise EmptySelection("no atom correlates with the target")
-    return np.array(indices), L[:n, :n], z[:n]
+    idx = np.array(indices)
+    return idx, np.tril(Qt[:n, idx].T), z[:n]
 
 
 def omp_dense_oracle(atoms, target, m):

@@ -171,12 +171,19 @@ def select_subset(strategy, tape, m, buffer, rng):
     return select_grad_match(gram_implicit(tape), m, rng)
 
 
+def _diverged(where, epoch, step, backprop_cum, cost_cum, records, exc):
+    """Append the NaN diagnostic row; returns the TrainingDiverged to raise."""
+    nan = float("nan")
+    records.append(MetricsRecord(epoch, step, nan, nan, backprop_cum, cost_cum, nan, nan))
+    return TrainingDiverged(f"non-finite {where} at epoch {epoch}, step {step}: {exc}", records)
+
+
 def run_training(cfg, strategy, dataset, model):
     """Train ``model`` in place; returns one MetricsRecord per epoch.
 
     Raises :class:`TrainingDiverged` (carrying the records so far plus a
-    diagnostic row) when a non-finite loss appears, and :class:`BadFraction`
-    when scaled mode's forward batch exceeds the training set.
+    diagnostic row) when a non-finite loss or test logit appears, and
+    :class:`BadFraction` when scaled mode's forward batch exceeds the training set.
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
@@ -214,14 +221,8 @@ def run_training(cfg, strategy, dataset, model):
                 with np.errstate(over="ignore", invalid="ignore"):
                     tape = forward_tape(model, Xb, yb)
             except ValueError as exc:  # non-finite activations or losses
-                records.append(
-                    MetricsRecord(epoch, step, float("nan"), float("nan"),
-                                  backprop_cum, cost_cum, float("nan"), float("nan"))
-                )
-                raise TrainingDiverged(
-                    f"non-finite forward pass at epoch {epoch}, step {step}: {exc}",
-                    records,
-                ) from exc
+                raise _diverged("forward pass", epoch, step, backprop_cum, cost_cum,
+                                records, exc) from exc
             loss_sum += tape.losses.sum()
 
             mb = m_nominal if Mb == M else subset_size(cfg.fraction, Mb)
@@ -238,12 +239,18 @@ def run_training(cfg, strategy, dataset, model):
             sel_sizes.append(sel.size)
             weight_max = max(weight_max, float(sel.weights.max()))
 
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # as for the forward pass
+                test_accuracy = accuracy(model, dataset.X_test, dataset.y_test)
+        except ValueError as exc:  # non-finite logits
+            raise _diverged("test evaluation", epoch, step, backprop_cum, cost_cum,
+                            records, exc) from exc
         records.append(
             MetricsRecord(
                 epoch=epoch,
                 step=step,
                 train_loss=loss_sum / N,
-                test_accuracy=accuracy(model, dataset.X_test, dataset.y_test),
+                test_accuracy=test_accuracy,
                 backprop_points_cum=backprop_cum,
                 cost_units_cum=cost_cum,
                 selection_size_mean=float(np.mean(sel_sizes)),

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbp.errors import DimensionMismatch
 from selbp.gram import BatchTape
 from selbp.model import (
+    ACTIVATIONS,
     Mlp,
     accuracy,
     forward_tape,
     per_example_grads,
+    predict,
     weighted_backward,
 )
 from selbp.omp import Selection
@@ -134,6 +140,31 @@ def test_weighted_backward_from_tape_matches_oracle(activation):
     np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    activation=st.sampled_from(ACTIVATIONS),
+    seed=st.integers(0, 2**32 - 1),
+    M=st.integers(1, 12),
+    whole_batch=st.booleans(),
+)
+def test_weighted_backward_is_the_weighted_per_example_mean(activation, seed, M, whole_batch):
+    # The whole batch in order reads the tape's arrays; any other selection
+    # gathers its rows. Both must give (1/|I|) sum_i gamma_i grad_i.
+    rng = np.random.default_rng(seed)
+    model = Mlp.init([3, 5, 4, 3], activation=activation, seed=seed)
+    X = rng.standard_normal((M, 3))
+    y = rng.integers(0, 3, M)
+    if whole_batch:
+        sel = full_selection(M)
+    else:
+        idx = rng.permutation(M)[: rng.integers(1, M + 1)]
+        w = rng.uniform(0.0, 2.0, idx.size) * (rng.random(idx.size) < 0.7)
+        sel = Selection(idx, w)
+    grad = backward(model, X, y, sel)
+    expected = sel.weights @ per_example_grads(model, X, y)[sel.indices] / sel.size
+    assert np.linalg.norm(grad - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_weighted_backward_rejects_a_tape_without_layer_inputs():
     model = Mlp.init([3, 6, 4], seed=16)
     X, y = np.zeros((4, 3)), np.zeros(4, dtype=int)
@@ -206,3 +237,49 @@ def test_accuracy_and_predict():
     model = Mlp(layers=[(np.eye(2), np.zeros(2))])
     X = np.array([[2.0, 0.0], [0.0, 2.0]])
     assert accuracy(model, X, np.array([0, 1])) == 1.0
+
+
+def test_accuracy_in_chunks_equals_whole_set_predictions():
+    rng = np.random.default_rng(31)
+    model = Mlp.init([8, 32, 5], seed=32)
+    X = rng.standard_normal((1300, 8))  # two full chunks and a partial one
+    y = rng.integers(0, 5, 1300)
+    assert accuracy(model, X, y) == (predict(model, X) == y).mean()
+
+
+def test_accuracy_rejects_an_empty_set_and_non_finite_logits():
+    model = Mlp.init([2, 4, 3], seed=33)
+    with pytest.raises(DimensionMismatch):
+        accuracy(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    model.layers[-1][1][0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        accuracy(model, np.ones((3, 2)), np.zeros(3, dtype=int))
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def large_net_batch(N):
+    """The 64-512-512-10 net, on which one 512 x 512 activation is 2 MiB."""
+    rng = np.random.default_rng(34)
+    X, y = rng.standard_normal((N, 64)), rng.integers(0, 10, N)
+    return Mlp.init([64, 512, 512, 10], seed=35), X, y
+
+
+def test_accuracy_holds_one_chunk_of_activations():
+    model, X, y = large_net_batch(2000)
+    assert peak_traced_bytes(lambda: accuracy(model, X, y)) < 8 * 2**20
+
+
+def test_whole_batch_backward_reads_the_tape_without_copying_it():
+    model, X, y = large_net_batch(512)
+    tape = forward_tape(model, X, y)
+    sel = full_selection(512)
+    assert peak_traced_bytes(lambda: weighted_backward(model, X, y, sel, tape=tape)) < 8 * 2**20

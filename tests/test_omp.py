@@ -4,10 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selbp.errors import DimensionMismatch, EmptySelection
-from selbp.gram import BatchTape, explicit_gradients, gram_explicit, mean_correlations
+from selbp.gram import (
+    BatchTape,
+    explicit_gradients,
+    gram_explicit,
+    gram_implicit,
+    mean_correlations,
+)
+from selbp.model import Mlp, forward_tape
 from selbp.omp import (
     OmpConfig,
     Selection,
+    batch_omp_factor,
     omp_dense_oracle,
     omp_gram,
     residual_norm_sq,
@@ -104,6 +112,33 @@ def test_gram_omp_matches_dense_oracle_property(kind, seed, M, m_share):
     # already zero): never more atoms than the rank.
     assert gsel.size <= min(m, rank)
     assert np.linalg.matrix_rank(A[gsel.indices]) == gsel.size
+
+
+def real_tape(seed, M=24):
+    """The forward tape of a small ReLU net on one random batch."""
+    rng = np.random.default_rng(seed)
+    model = Mlp.init([5, 12, 4], seed=seed)
+    return forward_tape(model, rng.standard_normal((M, 5)), rng.integers(0, 4, M))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gram_omp_on_a_real_tape_matches_dense_oracle(seed):
+    tape = real_tape(seed)
+    K = gram_implicit(tape)
+    V = explicit_gradients(tape)
+    gsel = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=8))
+    dense = omp_dense_oracle(V, V.mean(axis=0), 8)
+    np.testing.assert_array_equal(gsel.indices, dense.indices)
+    np.testing.assert_allclose(gsel.weights, dense.weights, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_factor_is_lower_triangular_with_positive_diagonal(seed):
+    K = gram_implicit(real_tape(seed))
+    _, L, _ = batch_omp_factor(K, mean_correlations(K), OmpConfig(max_atoms=8))
+    assert L.shape == (8, 8)
+    assert (np.triu(L, 1) == 0).all()
+    assert (np.diag(L) > 0).all()
 
 
 def test_dense_single_atom_equal_to_target():

@@ -295,6 +295,18 @@ def test_divergence_raises_with_diagnostic_record():
     assert np.isnan(last.train_loss)
 
 
+def test_divergence_at_test_evaluation_raises_with_diagnostic_record():
+    # M = N = 160: the one step's forward pass is finite, and only the test
+    # evaluation after its update overflows.
+    ds = small_blobs(n=200)
+    cfg = TrainConfig(base_batch=80, fraction=0.5, batch_mode="scaled", epochs=1, base_lr=1e200)
+    model = Mlp.init([2, 16, 3], seed=0)
+    with pytest.raises(TrainingDiverged, match="test evaluation") as exc:
+        run_training(cfg, StrategyConfig(kind="random", fraction=0.5), ds, model)
+    (last,) = exc.value.records
+    assert last.step == 1 and np.isnan(last.test_accuracy)
+
+
 def test_metrics_csv_schema_and_roundtrip(tmp_path):
     ds = small_blobs(n=200)
     cfg = TrainConfig(base_batch=64, fraction=0.5, epochs=2, base_lr=0.05, seed=8)
