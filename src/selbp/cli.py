@@ -88,8 +88,11 @@ def aggregate_summary(rows):
         cells.setdefault((row["strategy"], row["fraction"]), []).append(
             row["max_test_accuracy"]
         )
+    # The mean is clipped to [min, max]: rounded, the mean of equal values
+    # can land one ulp outside them.
     return {
-        key: {"mean": float(np.mean(v)), "min": min(v), "max": max(v), "n": len(v)}
+        key: {"mean": float(np.clip(np.mean(v), min(v), max(v))), "min": min(v),
+              "max": max(v), "n": len(v)}
         for key, v in cells.items()
     }
 

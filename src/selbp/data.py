@@ -52,9 +52,17 @@ class Dataset:
 
 
 def _split(X, y, num_classes, split, seed):
+    """Seeded train/test split; raises :class:`DimensionMismatch` when
+    either side would be empty."""
+    n = X.shape[0]
+    n_train = int(round(split * n))
+    if not 0 < n_train < n:
+        raise DimensionMismatch(
+            f"split {split} of n={n} rows leaves {n_train} training and "
+            f"{n - n_train} test rows; both must be non-empty"
+        )
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(X.shape[0])
-    n_train = int(round(split * X.shape[0]))
+    perm = rng.permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     return Dataset(X[tr], y[tr], X[te], y[te], num_classes)
 

@@ -64,6 +64,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     }
 
     samples = []
+    diff = np.empty_like(g_full)  # one error buffer for every estimate
     for b in range(num_batches):
         idx = batch_rng.choice(N, size=M, replace=False)
         Xb, yb = X[idx], y[idx]
@@ -72,7 +73,8 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
             size = M if name == "full" else m
             sel = select_subset(strategies[name], tape, size, buffers[name], strat_rngs[name])
             est = weighted_backward(model, Xb, yb, sel, tape=tape)
-            err = float(np.sum((est - g_full) ** 2))
+            np.subtract(est, g_full, out=diff)
+            err = float(diff @ diff)
             samples.append(GradErrorSample(name, b, err))
     return samples
 

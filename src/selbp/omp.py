@@ -2,12 +2,13 @@
 
 ``omp_gram`` runs entirely on inner products: the Gram matrix K = A^T A of
 the atoms and the correlation vector t = A^T b with the target. It is
-Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) on preallocated arrays: it
-keeps Q = K[:, I] L^-T transposed, so each new atom costs one matrix-vector
-product writing one contiguous row, and the correlations one rank-one step
-(a taken atom's is set to -inf). Rows I of Q are the Cholesky factor L of
-K[I, I], read off at the end; the weights L^-T z, z = L^-1 t_I, are solved
-for once (``batch_omp_factor`` is the greedy pass up to that solve).
+Batch-OMP (Rubinstein, Zibulevsky & Elad 2008) on preallocated arrays, in
+numpy alone: it keeps Q = K[:, I] L^-T transposed, so each new atom costs
+one matrix-vector product writing one contiguous row, and the correlations
+one rank-one step (a taken atom's is set to -inf). Rows I of Q are the
+Cholesky factor L of K[I, I], read off at the end; the weights L^-T z,
+z = L^-1 t_I, are solved for once (``batch_omp_factor`` is the greedy pass
+up to that solve).
 ``omp_dense_oracle`` is the textbook implementation on explicit vectors,
 used as the reference in tests.
 
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import daxpy, dgemv
 
 from .errors import DimensionMismatch, EmptySelection
 
@@ -75,7 +74,9 @@ def omp_gram(K, t, cfg):
     atom can be selected.
     """
     indices, L, z = batch_omp_factor(K, t, cfg)
-    gamma = solve_triangular(L, z, lower=True, trans="T")
+    # L^T is upper-triangular with a positive diagonal, so the LU inside
+    # solve exchanges no rows: this is back substitution.
+    gamma = np.linalg.solve(L.T, z)
     return Selection(indices, gamma)
 
 
@@ -99,24 +100,29 @@ def batch_omp_factor(K, t, cfg):
     Qt = np.empty((m, M))  # Q transposed: atom n writes its contiguous row n
     z = np.empty(m)
     alpha = t.copy()  # correlations with the residual; -inf marks a taken atom
+    diag = K.diagonal().tolist()
     indices = []
 
     for n in range(m):
         k = int(alpha.argmax())  # ties break toward the lowest index
-        corr = float(alpha[k])  # t[k] - w . z[:n]
+        corr = alpha.item(k)  # t[k] - w . z[:n]
         if corr <= 0.0:
             break
         w = Qt[:n, k]
-        pivot = float(K[k, k] - w @ w)
-        if pivot <= PIVOT_TOL * K[k, k]:
+        pivot = diag[k] - float(w @ w)
+        if pivot <= PIVOT_TOL * diag[k]:
             break
         d = math.sqrt(pivot)
         # Row n of Qt is (K[k] - w Qt[:n]) / d, K[k] being column k of the symmetric K.
-        Qt[n] = dgemv(-1.0 / d, Qt[:n].T, w, beta=1.0 / d, y=K[k]) if n else K[k] / d
-        Qt[n, k] = d  # L's diagonal exactly, not its rounded recomputation
-        z[n] = corr / d
-        alpha = daxpy(Qt[n], alpha, a=-z[n])  # alpha -= z[n] Qt[n], in place
-        alpha[k] = -np.inf
+        row = Qt[n]
+        np.dot(w, Qt[:n], out=row)
+        np.subtract(K[k], row, out=row)
+        row *= 1.0 / d
+        row[k] = d  # L's diagonal exactly, not its rounded recomputation
+        zn = corr / d
+        z[n] = zn
+        alpha -= zn * row
+        alpha[k] = -math.inf
         indices.append(k)
 
     n = len(indices)

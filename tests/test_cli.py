@@ -88,6 +88,16 @@ def test_aggregate_summary_recompute():
     assert agg[("loss_based", 0.5)]["n"] == 1
 
 
+def test_aggregate_summary_mean_of_equal_values_is_that_value():
+    # np.mean of three copies of this accuracy rounds one ulp below it.
+    acc = 0.9616666666666667
+    rows = [{"strategy": "grad_match", "fraction": 0.5, "seed": s, "max_test_accuracy": acc}
+            for s in range(3)]
+    cell = aggregate_summary(rows)[("grad_match", 0.5)]
+    assert cell["min"] <= cell["mean"] <= cell["max"]
+    assert cell["mean"] == acc
+
+
 def test_grad_error_command(tmp_path):
     text = SMALL_GRID + "eval.num_batches = 5\neval.batch = 32\neval.subset = 8\n"
     cfg = write_cfg(tmp_path, text)

@@ -95,6 +95,20 @@ def test_csv_missing_label_column(tmp_path):
         ingest_csv(desc)
 
 
+@pytest.mark.parametrize("split, counts", [(0.95, "10 training and 0 test"),
+                                           (0.04, "0 training and 10 test")])
+def test_blobs_empty_split_rejected(split, counts):
+    desc = DatasetDescriptor(kind="blobs", n=10, classes=3, dim=2, split=split)
+    with pytest.raises(DimensionMismatch, match=f"split {split} of n=10 rows leaves {counts}"):
+        build_dataset(desc)
+
+
+def test_csv_empty_test_split_rejected(tmp_path):
+    path = write_csv(tmp_path, "a,label\n1,0\n2,1\n3,0\n")
+    with pytest.raises(DimensionMismatch, match="n=3 rows leaves 3 training and 0 test"):
+        ingest_csv(DatasetDescriptor(kind="csv", path=path, split=0.9))
+
+
 # ---------------------------------------------------------------- blobs
 
 

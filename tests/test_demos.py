@@ -1,5 +1,6 @@
 """Every demo script and the self-check run to completion against the
-package source, from an empty directory, writing no files."""
+package source, from an empty directory, writing no files; and a process
+that uses the package loads only what the package needs."""
 
 import os
 import subprocess
@@ -37,3 +38,26 @@ def test_selftest_runs_without_pytest(tmp_path):
     assert out.count("[ok]") == 4 and "[FAIL]" not in out
     probe = "import sys, selbp.oracles; print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))"
     assert run_python(["-c", probe], tmp_path).strip() == "[]"
+
+
+ONE_BLAS_PROBE = """
+import sys
+import numpy as np
+import selbp, selbp.cli
+from selbp.data import DatasetDescriptor, build_dataset
+from selbp.model import Mlp
+from selbp.omp import OmpConfig, omp_gram
+from selbp.selection import StrategyConfig
+from selbp.trainer import TrainConfig, run_training
+
+omp_gram(np.eye(3), np.ones(3), OmpConfig(max_atoms=2))
+ds = build_dataset(DatasetDescriptor(kind="blobs", n=60, seed=1))
+cfg = TrainConfig(base_batch=16, fraction=0.5, epochs=1, base_lr=0.05)
+run_training(cfg, StrategyConfig(kind="grad_match", fraction=0.5), ds, Mlp.init([2, 8, 3]))
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_a_process_loads_only_numpys_blas(tmp_path):
+    # SciPy would map a second BLAS beside numpy's: the package never imports it.
+    assert run_python(["-c", ONE_BLAS_PROBE], tmp_path).strip() == "[]"

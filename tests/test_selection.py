@@ -2,6 +2,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import selbp.selection
@@ -256,6 +258,29 @@ def test_grad_match_contracts():
         assert (sel.indices < M).all()
         assert (sel.weights >= 0).all()
         assert abs(sel.weights.sum() - sel.size) < 1e-12
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    activation=st.sampled_from(["relu", "tanh"]),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.integers(8, 64).flatmap(lambda M: st.tuples(st.just(M), st.integers(1, M))),
+)
+def test_grad_match_weights_on_a_real_gram_property(activation, seed, sizes):
+    M, m = sizes
+    rng = np.random.default_rng(seed)
+    model = Mlp.init([4, 10, 3], activation=activation, seed=seed)
+    K = gram_implicit(forward_tape(model, rng.standard_normal((M, 4)), rng.integers(0, 3, M)))
+
+    sel = select_grad_match(K, m, rng)
+    assert 1 <= sel.size <= m
+    assert len(np.unique(sel.indices)) == sel.size
+    assert (sel.indices < M).all()
+    assert (sel.weights > 0).all()
+    assert abs(sel.weights.sum() - sel.size) <= 1e-12 * sel.size
+    # The kept atoms are OMP's positive-weight atoms, in the order OMP took them.
+    raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=m))
+    np.testing.assert_array_equal(sel.indices, raw.indices[raw.weights > 0])
 
 
 def test_strategy_config_validation():
