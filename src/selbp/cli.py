@@ -35,7 +35,7 @@ SUMMARY_FIELDS = ["strategy", "fraction", "seed", "max_test_accuracy", "cost_uni
 
 def _build_model(spec, dataset, seed):
     sizes = [dataset.X_train.shape[1], *spec.hidden, dataset.num_classes]
-    return Mlp.init(sizes, activation=spec.activation, seed=spec.init_seed + seed)
+    return Mlp.init(sizes, activation=spec.activation, seed=seed)
 
 
 def _run_cell(args):

@@ -34,7 +34,6 @@ class ExperimentSpec:
     dataset: DatasetDescriptor = field(default_factory=DatasetDescriptor)
     hidden: tuple = (32,)
     activation: str = "relu"
-    init_seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     strategy_kinds: tuple = ("random",)
@@ -91,11 +90,6 @@ def _strs(s):
     return tuple(x.strip() for x in s.split(",")) if s else ()
 
 
-def _opt_int(s):
-    s = s.strip().lower()
-    return None if s in ("none", "") else int(s)
-
-
 KNOWN_KEYS = {
     "preset": ("preset", None, _str),
     "dataset.kind": ("dataset", "kind", _str),
@@ -112,7 +106,6 @@ KNOWN_KEYS = {
     "dataset.seed": ("dataset", "seed", _INT),
     "model.hidden": ("spec", "hidden", _ints),
     "model.activation": ("spec", "activation", _str),
-    "model.init_seed": ("spec", "init_seed", _INT),
     "train.base_batch": ("train", "base_batch", _INT),
     "train.batch_mode": ("train", "batch_mode", _str),
     "train.epochs": ("train", "epochs", _INT),
@@ -126,10 +119,8 @@ KNOWN_KEYS = {
     "train.lr_factor": ("train", "lr_factor", _FLOAT),
     "train.stretch_schedule": ("train", "stretch_schedule", _bool),
     "train.label_noise": ("train", "label_noise", _FLOAT),
-    "train.seed": ("train", "seed", _INT),
     "strategy.kinds": ("spec", "strategy_kinds", _strs),
     "strategy.cdf_source": ("strategy", "cdf_source", _str),
-    "strategy.buffer_capacity": ("strategy", "buffer_capacity", _opt_int),
     "grid.fractions": ("spec", "fractions", _floats),
     "grid.seeds": ("spec", "seeds", _ints),
     "eval.num_batches": ("spec", "eval_num_batches", _INT),
@@ -200,8 +191,6 @@ def load_config(path):
 def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
     if isinstance(value, tuple):
         return ",".join(_fmt(v) for v in value)
     if isinstance(value, float):

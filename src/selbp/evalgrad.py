@@ -8,7 +8,6 @@ gradient, not the last-layer proxy the selection itself uses.
 """
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .model import CHUNK_ROWS, forward_tape, weighted_backward
 from .omp import Selection
+from .selection import loss_history
 from .trainer import select_subset
 
 
@@ -47,8 +47,8 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     ``strategies`` maps a name to a StrategyConfig (or to None for the
     pseudo-strategy "full", which keeps the whole forward batch). Each
     selection is the trainer's :func:`select_subset`, with ``m = M`` for
-    "full"; a loss-based buffer holds ``buffer_capacity`` losses, 8 * M when
-    unset. Returns one GradErrorSample per (strategy, batch).
+    "full"; each strategy keeps its own :func:`loss_history`. Returns one
+    GradErrorSample per (strategy, batch).
     """
     N = X.shape[0]
     if not m <= M <= N:
@@ -58,10 +58,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     batch_rng = np.random.default_rng([seed, 0])
     names = list(strategies)
     strat_rngs = {name: np.random.default_rng([seed, 1 + i]) for i, name in enumerate(names)}
-    buffers = {
-        name: deque(maxlen=(cfg and cfg.buffer_capacity) or 8 * M)
-        for name, cfg in strategies.items()
-    }
+    buffers = {name: loss_history(M) for name in names}
 
     samples = []
     diff = np.empty_like(g_full)  # one error buffer for every estimate

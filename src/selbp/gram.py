@@ -66,12 +66,6 @@ class BatchTape:
         return self.P.shape[1]
 
 
-def _symmetrize(raw):
-    # Mirror the computed upper triangle so K_ij == K_ji exactly.
-    upper = np.triu(raw)
-    return upper + upper.T - np.diag(np.diag(raw))
-
-
 def gram_implicit(tape):
     """Gram matrix of last-layer gradients without forming them."""
     # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
@@ -91,9 +85,10 @@ def explicit_gradients(tape):
 
 
 def gram_explicit(tape):
-    """Brute-force Gram matrix from explicitly materialized gradients."""
+    """Brute-force Gram matrix from explicitly materialized gradients. They
+    are one contiguous buffer, so ``V @ V.T`` is exactly symmetric."""
     V = explicit_gradients(tape)
-    return _symmetrize(V @ V.T)
+    return V @ V.T
 
 
 def mean_correlations(K):

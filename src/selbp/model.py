@@ -70,6 +70,9 @@ class Mlp:
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.layers])
 
     def set_params(self, flat):
+        """Point every ``W`` and ``b`` into ``flat`` without copying, so the
+        model reads the vector it was given: an in-place write to ``flat``
+        moves the model."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape[0] != self.n_params:
             raise DimensionMismatch(
@@ -80,9 +83,8 @@ class Mlp:
         for W, b in self.layers:
             w = flat[pos : pos + W.size].reshape(W.shape)
             pos += W.size
-            bb = flat[pos : pos + b.size].copy()
+            new_layers.append((w, flat[pos : pos + b.size]))
             pos += b.size
-            new_layers.append((w, bb))
         self.layers = new_layers
 
 
@@ -106,34 +108,27 @@ def _forward(model, X):
 
 
 def _softmax_stats(logits, y):
-    """Stable softmax probabilities, per-example losses, and P = probs - onehot."""
+    """Per-example losses and P = softmax(logits) - onehot(y), both stable."""
     y = np.asarray(y, dtype=np.intp).reshape(-1)
     if y.shape[0] != logits.shape[0]:
         raise DimensionMismatch("labels do not match the batch size")
     if (y < 0).any() or (y >= logits.shape[1]).any():
         raise DimensionMismatch("label outside the number of classes")
+    rows = np.arange(len(y))
     zmax = logits.max(axis=1, keepdims=True)
     exps = np.exp(logits - zmax)
-    probs = exps / exps.sum(axis=1, keepdims=True)
-    lse = np.log(exps.sum(axis=1)) + zmax[:, 0]
-    losses = lse - logits[np.arange(len(y)), y]
-    P = probs.copy()
-    P[np.arange(len(y)), y] -= 1.0
-    return probs, losses, P
+    sums = exps.sum(axis=1, keepdims=True)
+    losses = np.log(sums[:, 0]) + zmax[:, 0] - logits[rows, y]
+    P = np.divide(exps, sums, out=exps)
+    P[rows, y] -= 1.0
+    return losses, P
 
 
 def forward_tape(model, X, y):
     """Forward pass returning the selection inputs (H, P, losses) and each layer's input."""
     a, logits = _forward(model, X)
-    _, losses, P = _softmax_stats(logits, y)
+    losses, P = _softmax_stats(logits, y)
     return BatchTape(H=a[-1], P=P, losses=losses, inputs=tuple(a))
-
-
-def mean_loss(model, X, y):
-    """Mean softmax cross-entropy over the batch."""
-    _, logits = _forward(model, X)
-    _, losses, _ = _softmax_stats(logits, y)
-    return float(losses.mean())
 
 
 def predict(model, X):
@@ -191,7 +186,7 @@ def per_example_grads(model, X, y):
     """Full-parameter gradient of each example's loss; shape (M, n_params)."""
     a, logits = _forward(model, X)
     M = logits.shape[0]
-    _, _, P = _softmax_stats(logits, y)
+    _, P = _softmax_stats(logits, y)
 
     delta = P
     blocks = [None] * len(model.layers)

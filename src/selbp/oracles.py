@@ -6,9 +6,13 @@ caller's generator, within the acceptance bounds, and returns (passed, detail).
 import numpy as np
 
 from .gram import BatchTape, explicit_gradients, gram_explicit, gram_implicit
-from .model import (ACTIVATIONS, Mlp, forward_tape, mean_loss, per_example_grads,
-                    weighted_backward)
+from .model import ACTIVATIONS, Mlp, forward_tape, per_example_grads, weighted_backward
 from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
+
+
+def mean_loss(model, X, y):
+    """Mean softmax cross-entropy over the batch."""
+    return float(forward_tape(model, X, y).losses.mean())
 
 
 def fd_gradient(model, X, y, h=1e-5):

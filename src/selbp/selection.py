@@ -11,6 +11,7 @@ Three strategies behind one interface, all returning a :class:`Selection`:
 """
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ class StrategyConfig:
     kind: str = "random"
     fraction: float = 0.5
     cdf_source: str = "within_batch"
-    buffer_capacity: int | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -39,8 +39,12 @@ class StrategyConfig:
             raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
         if self.cdf_source not in CDF_SOURCES:
             raise ValueError(f"unknown cdf_source {self.cdf_source!r}")
-        if self.buffer_capacity is not None and self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
+
+
+def loss_history(M):
+    """The rolling-buffer CDF's reference: the latest ``8 * M`` losses, eight
+    forward batches of ``M`` rows."""
+    return deque(maxlen=8 * M)
 
 
 def select_random(M, m, rng):
@@ -70,9 +74,9 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     Uses exponential-key weighted sampling without replacement (keys
     Exp(1)/p_i, smallest m win) so every call returns exactly m distinct
     indices. When ``cfg.cdf_source`` is ``rolling_buffer`` the CDF reference
-    is the contents of ``buffer``, a ``collections.deque`` with a ``maxlen``
-    (falling back to the batch while it is still empty), and the M fresh
-    losses are appended afterward, evicting the oldest.
+    is the contents of ``buffer``, a :func:`loss_history` (falling back to the
+    batch while it is still empty), and the M fresh losses are appended
+    afterward, evicting the oldest.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]

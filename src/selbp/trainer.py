@@ -9,7 +9,6 @@ M for a full-batch step.
 
 import csv
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import BadFraction, TrainingDiverged
 from .gram import gram_implicit
 from .model import accuracy, forward_tape, weighted_backward
 from .omp import Selection
-from .selection import select_grad_match, select_loss_based, select_random
+from .selection import loss_history, select_grad_match, select_loss_based, select_random
 
 SCHEDULES = ("constant", "step", "cosine")
 BATCH_MODES = ("fixed", "scaled")
@@ -91,6 +90,7 @@ def resolve_batch_sizes(cfg):
 
     Fixed mode keeps the forward batch at base_batch and shrinks the subset;
     scaled mode inflates the forward batch so the subset stays at base_batch.
+    In both, m == subset_size(fraction, M), the rule every batch is cut by.
     """
     if cfg.batch_mode == "scaled":
         return round(cfg.base_batch / cfg.fraction), cfg.base_batch
@@ -188,7 +188,7 @@ def run_training(cfg, strategy, dataset, model):
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
     N = X.shape[0]
-    M, m_nominal = resolve_batch_sizes(cfg)
+    M, _ = resolve_batch_sizes(cfg)
     if cfg.batch_mode == "scaled" and M > N:
         raise BadFraction(
             f"scaled mode's forward batch M={M} exceeds the N={N} training rows"
@@ -196,8 +196,9 @@ def run_training(cfg, strategy, dataset, model):
     if cfg.label_noise > 0:
         y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
 
-    buffer = deque(maxlen=strategy.buffer_capacity or 8 * cfg.base_batch)
+    buffer = loss_history(M)
     theta = model.get_params()
+    model.set_params(theta)  # the model now reads theta, which sgd_update moves
     velocity = np.zeros_like(theta)
 
     records = []
@@ -225,13 +226,11 @@ def run_training(cfg, strategy, dataset, model):
                                 records, exc) from exc
             loss_sum += tape.losses.sum()
 
-            mb = m_nominal if Mb == M else subset_size(cfg.fraction, Mb)
-            sel = select_subset(strategy, tape, mb, buffer, rng)
+            sel = select_subset(strategy, tape, subset_size(cfg.fraction, Mb), buffer, rng)
             grad = weighted_backward(model, Xb, yb, sel, tape=tape)
             if cfg.weight_decay:
                 grad = grad + cfg.weight_decay * theta
             sgd_update(theta, velocity, grad, lr, cfg.momentum, cfg.nesterov)
-            model.set_params(theta)
 
             step += 1
             backprop_cum += sel.size

@@ -1,7 +1,10 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from selbp.cli import _build_model
 from selbp.config import (
     KNOWN_KEYS,
     PRESETS,
@@ -45,13 +48,12 @@ def test_strategy_keys_fill_the_strategy_template():
     spec = parse_config_text(
         MINIMAL
         + "strategy.cdf_source = rolling_buffer\n"
-        + "strategy.buffer_capacity = 64\n"
     )
-    assert spec.strategy == StrategyConfig(cdf_source="rolling_buffer", buffer_capacity=64)
+    assert spec.strategy == StrategyConfig(cdf_source="rolling_buffer")
     assert parse_config_text(dump_config(spec)) == spec
     sc = spec.strategy_config("loss_based", 0.25)
     assert sc == StrategyConfig(
-        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer", buffer_capacity=64,
+        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer",
     )
     assert spec.strategy.kind == "random"  # template untouched
 
@@ -158,7 +160,6 @@ def test_dump_parse_roundtrip():
         + "preset = svhn_style\n"
         + "model.hidden = 64, 32\n"
         + "grid.fractions = 0.25\n"
-        + "strategy.buffer_capacity = none\n"
         + "train.stretch_schedule = true\n"
     )
     assert parse_config_text(dump_config(spec)) == spec
@@ -204,9 +205,79 @@ def test_every_known_key_parseable():
 def test_every_section_field_has_a_key():
     # The reverse: a section field without a key would not survive
     # dump_config/parse_config_text. Only the grid sets the strategy kind and
-    # each cell's fraction.
+    # each cell's fraction and seed.
     keyed = {(target, attr) for target, attr, _ in KNOWN_KEYS.values()}
-    grid = {("strategy", "kind"), ("strategy", "fraction"), ("train", "fraction")}
+    grid = {("strategy", "kind"), ("strategy", "fraction"), ("train", "fraction"),
+            ("train", "seed")}
     for name, cls in SECTIONS.items():
         for f in fields(cls):
             assert (name, f.name) in keyed | grid, f"{name}.{f.name}"
+
+
+# A non-default value for every key. Each must change something a grid cell reads.
+NON_DEFAULT = {
+    "preset": "cifar_style",
+    "dataset.kind": "two_moons",
+    "dataset.path": "data.csv",
+    "dataset.label_col": "target",
+    "dataset.feature_cols": "a, b",
+    "dataset.split": "0.5",
+    "dataset.split_seed": "1",
+    "dataset.n": "100",
+    "dataset.classes": "4",
+    "dataset.dim": "3",
+    "dataset.separation": "2.0",
+    "dataset.noise": "0.3",
+    "dataset.seed": "1",
+    "model.hidden": "16, 8",
+    "model.activation": "tanh",
+    "train.base_batch": "32",
+    "train.batch_mode": "scaled",
+    "train.epochs": "3",
+    "train.momentum": "0.5",
+    "train.nesterov": "false",
+    "train.weight_decay": "0.001",
+    "train.schedule": "step",
+    "train.milestones": "1, 2",
+    "train.decay_factor": "0.5",
+    "train.base_lr": "0.05",
+    "train.lr_factor": "2.0",
+    "train.stretch_schedule": "true",
+    "train.label_noise": "0.1",
+    "strategy.kinds": "grad_match",
+    "strategy.cdf_source": "rolling_buffer",
+    "grid.fractions": "0.25",
+    "grid.seeds": "1",
+    "eval.num_batches": "10",
+    "eval.batch": "64",
+    "eval.subset": "16",
+    "out.dir": "elsewhere",
+}
+
+
+def cell_inputs(spec):
+    """What a grid cell reads of a spec: the dataset descriptor, the model
+    ``_build_model`` returns, the cell's train and strategy configs, and the
+    grid, eval and out fields."""
+    stand_in = SimpleNamespace(X_train=np.zeros((1, 3)), num_classes=2)
+    model = _build_model(spec, stand_in, seed=5)
+    return (
+        spec.dataset,
+        model.activation,
+        [W.shape for W, _ in model.layers],
+        model.get_params().tolist(),
+        spec.train_config(0.5, 5),
+        spec.strategy_config("loss_based", 0.5),
+        spec.strategy_kinds, spec.fractions, spec.seeds,
+        spec.eval_num_batches, spec.eval_batch, spec.eval_subset, spec.out_dir,
+    )
+
+
+def test_every_key_changes_what_a_cell_reads():
+    # A key that nothing reads is a dead option: setting it must show.
+    assert set(NON_DEFAULT) == set(KNOWN_KEYS)
+    base = {"dataset.kind": "blobs", "strategy.kinds": "random"}
+    default = cell_inputs(parse_config_text(MINIMAL))
+    for key, value in NON_DEFAULT.items():
+        text = "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
+        assert cell_inputs(parse_config_text(text)) != default, key

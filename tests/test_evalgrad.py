@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+import selbp.trainer
+from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.evalgrad import (
     full_dataset_gradient,
     gradient_error_experiment,
@@ -10,6 +12,7 @@ from selbp.evalgrad import (
 )
 from selbp.model import Mlp, per_example_grads
 from selbp.selection import StrategyConfig
+from selbp.trainer import TrainConfig, run_training
 
 
 def toy_problem(seed=0, N=64, d=3, classes=3, hidden=8):
@@ -84,21 +87,29 @@ def test_identity_subset_equals_plain_minibatch_error():
         assert by[name] == by["full"], name
 
 
-def test_loss_buffer_capacity_is_honoured():
+@pytest.mark.parametrize("batch_mode,base_batch", [("fixed", 64), ("scaled", 16)])
+def test_loss_history_holds_eight_forward_batches(monkeypatch, batch_mode, base_batch):
+    # Training and the experiment both rank losses against the latest 8 * M,
+    # M the forward batch: 8 * 64 in both modes (scaled: 16 / 0.25 = 64 rows).
+    select = selbp.trainer.select_loss_based
+    maxlens = []
+
+    def spy(losses, m, cfg, buffer, rng):
+        maxlens.append(buffer.maxlen)
+        return select(losses, m, cfg, buffer, rng)
+
+    monkeypatch.setattr(selbp.trainer, "select_loss_based", spy)
+    strategy = StrategyConfig(kind="loss_based", fraction=0.25, cdf_source="rolling_buffer")
+    cfg = TrainConfig(base_batch=base_batch, fraction=0.25, batch_mode=batch_mode,
+                      epochs=1, base_lr=0.05, seed=1)
+    ds = synth_blobs(DatasetDescriptor(kind="blobs", n=200, classes=3, dim=3, seed=2))
+    run_training(cfg, strategy, ds, Mlp.init([3, 8, 3], seed=3))
+    trained = len(maxlens)
     model, X, y = toy_problem(N=128)
-
-    def loss_based_errors(capacity):
-        cfg = StrategyConfig(
-            kind="loss_based", cdf_source="rolling_buffer", buffer_capacity=capacity
-        )
-        samples = gradient_error_experiment(
-            model, X, y, {"loss_based": cfg}, num_batches=6, M=32, m=8, seed=6
-        )
-        return errors_by_strategy(samples)["loss_based"]
-
-    default = loss_based_errors(None)
-    assert loss_based_errors(8 * 32) == default
-    assert loss_based_errors(4) != default
+    gradient_error_experiment(model, X, y, {"loss_based": strategy}, num_batches=2,
+                              M=64, m=16, seed=6)
+    assert trained == 3 and len(maxlens) == 5  # batches of 64, 64 and 32; then 2
+    assert set(maxlens) == {8 * 64}
 
 
 def test_paired_batches_across_strategies():

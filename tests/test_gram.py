@@ -85,6 +85,21 @@ def test_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
     np.testing.assert_array_equal(K, K.T)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("M,D,C", [(512, 512, 10), (300, 77, 5), (7, 1, 1)])
+def test_explicit_gram_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
+    # explicit_gradients returns one contiguous buffer, so V @ V.T needs no mirror.
+    rng = np.random.default_rng(M + D + C)
+    H = rng.standard_normal((M, 2 * D))
+    P = rng.standard_normal((M, 2 * C))
+    if layout == "strided":
+        H, P = H[:, ::2], P[:, ::2]
+    else:
+        H, P = np.asarray(H[:, :D], order=layout), np.asarray(P[:, :C], order=layout)
+    K = gram_explicit(BatchTape(H=H, P=P, losses=np.zeros(M)))
+    np.testing.assert_array_equal(K, K.T)
+
+
 def test_psd_spot_check():
     rng = np.random.default_rng(6)
     K = gram_implicit(random_tape(rng, M=12))

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,22 @@ def test_param_roundtrip_and_validation():
         model.set_params(theta[:-1])
     with pytest.raises(DimensionMismatch):
         forward_tape(model, np.zeros((3, 5)), np.zeros(3, dtype=int))
+
+
+def test_set_params_makes_the_model_read_the_given_vector():
+    model = Mlp.init([2, 4, 3], seed=13)
+    flat = model.get_params()
+    model.set_params(flat)
+    flat += 1.0  # in place, as sgd_update moves theta
+    np.testing.assert_array_equal(model.get_params(), flat)
+    for W, b in model.layers:
+        assert np.shares_memory(W, flat) and np.shares_memory(b, flat)
+    # A deep copy owns its parameters, as a replayed step needs: writing into
+    # it, or pointing it at another vector, leaves the original as it was.
+    twin = copy.deepcopy(model)
+    twin.layers[0][1][:] = 7.0
+    twin.set_params(np.zeros_like(flat))
+    np.testing.assert_array_equal(model.get_params(), flat)
 
 
 def test_accuracy_and_predict():

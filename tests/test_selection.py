@@ -124,6 +124,28 @@ def test_loss_based_monotone_in_loss():
     assert (np.diff(freq) >= -0.01).all()
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    levels=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_based_inclusion_monotone_in_loss_property(levels, data, seed):
+    # Same draws, higher loss: a selected row's key can only fall and every
+    # other row's can only rise, so the row stays selected. Small integer
+    # levels make ties common.
+    losses = np.array(levels, dtype=np.float64)
+    M = losses.shape[0]
+    m = data.draw(st.integers(1, M), label="m")
+    cfg = StrategyConfig(kind="loss_based")
+    before = select_loss_based(losses, m, cfg, None, np.random.default_rng(seed))
+    row = data.draw(st.sampled_from(before.indices.tolist()), label="row")
+    raised = losses.copy()
+    raised[row] += data.draw(st.floats(1e-6, 10.0), label="raise")
+    after = select_loss_based(raised, m, cfg, None, np.random.default_rng(seed))
+    assert row in after.indices
+
+
 def test_loss_based_uniform_under_equal_losses():
     M, m, n = 8, 2, 10_000
     losses = np.full(M, 3.0)

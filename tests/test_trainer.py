@@ -2,12 +2,15 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import BadFraction, TrainingDiverged
 from selbp.model import Mlp
 from selbp.selection import StrategyConfig
 from selbp.trainer import (
+    BATCH_MODES,
     METRICS_FIELDS,
     TrainConfig,
     apply_label_noise,
@@ -66,6 +69,24 @@ def test_subset_size_rounds_and_keeps_one_row():
     assert subset_size(0.3, 45) == 14  # 13.5 rounds half to even
     assert subset_size(0.25, 320) == 80
     assert subset_size(0.1, 3) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    batch_mode=st.sampled_from(BATCH_MODES),
+    base_batch=st.integers(1, 1024),
+    fraction=st.floats(0.001, 1.0),
+)
+def test_nominal_subset_is_the_rounding_rule_on_the_forward_batch(batch_mode, base_batch,
+                                                                  fraction):
+    # So one rule, subset_size(fraction, rows), cuts full and partial batches alike.
+    cfg = TrainConfig(base_batch=base_batch, fraction=fraction, batch_mode=batch_mode)
+    if batch_mode == "fixed" and round(fraction * base_batch) < 1:
+        with pytest.raises(BadFraction):
+            resolve_batch_sizes(cfg)
+        return
+    M, m = resolve_batch_sizes(cfg)
+    assert m == subset_size(fraction, M)
 
 
 def test_partial_batch_uses_the_nominal_rounding_rule():
