@@ -18,7 +18,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from dataclasses import astuple
 from functools import partial
+
 import numpy as np
 
 from . import evalgrad, oracles
@@ -26,11 +28,19 @@ from .config import load_config
 from .data import build_dataset, write_dataset_csv
 from .errors import SelbpError, TrainingDiverged
 from .model import Mlp
-from .trainer import run_training, write_metrics_csv
+from .trainer import METRICS_FIELDS, run_training
 
 logger = logging.getLogger(__name__)
 
 SUMMARY_FIELDS = ["strategy", "fraction", "seed", "max_test_accuracy", "cost_units_total"]
+
+
+def write_csv(path, fields, rows):
+    """Every result CSV: a header row of ``fields``, then ``rows`` in that order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
 
 
 def _build_model(spec, dataset, seed):
@@ -39,8 +49,8 @@ def _build_model(spec, dataset, seed):
 
 
 def _run_cell(args):
-    """One grid cell: train a fresh model, write its metrics CSV, return a
-    summary row. A diverged cell writes the records it has, then raises.
+    """One grid cell: train a fresh model, write its metrics CSV, return its
+    ``SUMMARY_FIELDS`` row. A diverged cell writes the records it has, then raises.
     Top-level so it pickles into worker processes."""
     spec, kind, fraction, seed, out_dir = args
     dataset = build_dataset(spec.dataset)
@@ -51,23 +61,11 @@ def _run_cell(args):
     try:
         records = run_training(cfg, strategy, dataset, model)
     except TrainingDiverged as exc:
-        write_metrics_csv(exc.records, path)
+        write_csv(path, METRICS_FIELDS, map(astuple, exc.records))
         raise
-    write_metrics_csv(records, path)
-    return {
-        "strategy": kind,
-        "fraction": fraction,
-        "seed": seed,
-        "max_test_accuracy": max(r.test_accuracy for r in records),
-        "cost_units_total": records[-1].cost_units_cum,
-    }
-
-
-def write_summary_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(path, METRICS_FIELDS, map(astuple, records))
+    return [kind, fraction, seed, max(r.test_accuracy for r in records),
+            records[-1].cost_units_cum]
 
 
 def read_summary_csv(path):
@@ -118,7 +116,7 @@ def cmd_train(spec, jobs=1):
                 failures += 1
                 logger.error("cell %s failed: %s", cell[1:4], exc,
                              exc_info=not isinstance(exc, SelbpError))
-    write_summary_csv(rows, os.path.join(spec.out_dir, "summary.csv"))
+    write_csv(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_FIELDS, rows)
     return 0 if failures == 0 else 1
 
 
@@ -140,7 +138,8 @@ def cmd_grad_error(spec):
         m=spec.eval_subset,
         seed=spec.seeds[0],
     )
-    evalgrad.write_grad_error_csv(samples, os.path.join(spec.out_dir, "grad_errors.csv"))
+    write_csv(os.path.join(spec.out_dir, "grad_errors.csv"), evalgrad.GRAD_ERROR_FIELDS,
+              map(astuple, samples))
     return 0
 
 

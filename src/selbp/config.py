@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 
 from .data import DatasetDescriptor
 from .errors import ParseError, UnknownKey
-from .selection import StrategyConfig
+from .model import ACTIVATIONS
+from .selection import STRATEGY_KINDS, StrategyConfig
 from .trainer import TrainConfig
 
 # Named training presets (momentum, schedule, budget, batch size).
@@ -44,6 +45,24 @@ class ExperimentSpec:
     eval_subset: int = 32
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        if not self.strategy_kinds or not set(self.strategy_kinds) <= set(STRATEGY_KINDS):
+            raise ValueError(f"strategy_kinds must be some of {STRATEGY_KINDS}, "
+                             f"got {self.strategy_kinds}")
+        if not self.fractions or not all(0 < f <= 1 for f in self.fractions):
+            raise ValueError(f"fractions must be in (0, 1], got {self.fractions}")
+        if not self.seeds:
+            raise ValueError("seeds must not be empty")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if not all(h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
+        if not 1 <= self.eval_subset <= self.eval_batch:
+            raise ValueError(f"need 1 <= eval_subset <= eval_batch "
+                             f"(got {self.eval_subset} and {self.eval_batch})")
+        if self.eval_num_batches < 1:
+            raise ValueError(f"eval_num_batches must be >= 1, got {self.eval_num_batches}")
+
     def strategy_config(self, kind, fraction):
         return replace(self.strategy, kind=kind, fraction=fraction)
 
@@ -56,14 +75,9 @@ REQUIRED_KEYS = ("dataset.kind", "strategy.kinds")
 # ExperimentSpec fields that hold a config object, each built from its keys.
 SECTIONS = {"dataset": DatasetDescriptor, "train": TrainConfig, "strategy": StrategyConfig}
 
-# key -> (target, attribute, parser) where target is "spec", "preset" or a
-# name in SECTIONS.
-_INT = int
-_FLOAT = float
-
 
 def _bool(s):
-    s = s.strip().lower()
+    s = s.lower()
     if s in ("true", "1", "yes"):
         return True
     if s in ("false", "0", "no"):
@@ -71,62 +85,50 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _str(s):
-    return s.strip()
+def _tuple(parse):
+    """A parser of comma-separated ``parse`` values; an empty value gives ()."""
+    return lambda s: tuple(parse(x.strip()) for x in s.split(",")) if s else ()
 
 
-def _ints(s):
-    s = s.strip()
-    return tuple(int(x) for x in s.split(",")) if s else ()
-
-
-def _floats(s):
-    s = s.strip()
-    return tuple(float(x) for x in s.split(",")) if s else ()
-
-
-def _strs(s):
-    s = s.strip()
-    return tuple(x.strip() for x in s.split(",")) if s else ()
-
-
+# key -> (target, attribute, parser) where target is "spec", "preset" or a
+# name in SECTIONS. Values reach their parser stripped.
 KNOWN_KEYS = {
-    "preset": ("preset", None, _str),
-    "dataset.kind": ("dataset", "kind", _str),
-    "dataset.path": ("dataset", "path", _str),
-    "dataset.label_col": ("dataset", "label_col", _str),
-    "dataset.feature_cols": ("dataset", "feature_cols", _strs),
-    "dataset.split": ("dataset", "split", _FLOAT),
-    "dataset.split_seed": ("dataset", "split_seed", _INT),
-    "dataset.n": ("dataset", "n", _INT),
-    "dataset.classes": ("dataset", "classes", _INT),
-    "dataset.dim": ("dataset", "dim", _INT),
-    "dataset.separation": ("dataset", "separation", _FLOAT),
-    "dataset.noise": ("dataset", "noise", _FLOAT),
-    "dataset.seed": ("dataset", "seed", _INT),
-    "model.hidden": ("spec", "hidden", _ints),
-    "model.activation": ("spec", "activation", _str),
-    "train.base_batch": ("train", "base_batch", _INT),
-    "train.batch_mode": ("train", "batch_mode", _str),
-    "train.epochs": ("train", "epochs", _INT),
-    "train.momentum": ("train", "momentum", _FLOAT),
+    "preset": ("preset", None, str),
+    "dataset.kind": ("dataset", "kind", str),
+    "dataset.path": ("dataset", "path", str),
+    "dataset.label_col": ("dataset", "label_col", str),
+    "dataset.feature_cols": ("dataset", "feature_cols", _tuple(str)),
+    "dataset.split": ("dataset", "split", float),
+    "dataset.split_seed": ("dataset", "split_seed", int),
+    "dataset.n": ("dataset", "n", int),
+    "dataset.classes": ("dataset", "classes", int),
+    "dataset.dim": ("dataset", "dim", int),
+    "dataset.separation": ("dataset", "separation", float),
+    "dataset.noise": ("dataset", "noise", float),
+    "dataset.seed": ("dataset", "seed", int),
+    "model.hidden": ("spec", "hidden", _tuple(int)),
+    "model.activation": ("spec", "activation", str),
+    "train.base_batch": ("train", "base_batch", int),
+    "train.batch_mode": ("train", "batch_mode", str),
+    "train.epochs": ("train", "epochs", int),
+    "train.momentum": ("train", "momentum", float),
     "train.nesterov": ("train", "nesterov", _bool),
-    "train.weight_decay": ("train", "weight_decay", _FLOAT),
-    "train.schedule": ("train", "schedule", _str),
-    "train.milestones": ("train", "milestones", _ints),
-    "train.decay_factor": ("train", "decay_factor", _FLOAT),
-    "train.base_lr": ("train", "base_lr", _FLOAT),
-    "train.lr_factor": ("train", "lr_factor", _FLOAT),
+    "train.weight_decay": ("train", "weight_decay", float),
+    "train.schedule": ("train", "schedule", str),
+    "train.milestones": ("train", "milestones", _tuple(int)),
+    "train.decay_factor": ("train", "decay_factor", float),
+    "train.base_lr": ("train", "base_lr", float),
+    "train.lr_factor": ("train", "lr_factor", float),
     "train.stretch_schedule": ("train", "stretch_schedule", _bool),
-    "train.label_noise": ("train", "label_noise", _FLOAT),
-    "strategy.kinds": ("spec", "strategy_kinds", _strs),
-    "strategy.cdf_source": ("strategy", "cdf_source", _str),
-    "grid.fractions": ("spec", "fractions", _floats),
-    "grid.seeds": ("spec", "seeds", _ints),
-    "eval.num_batches": ("spec", "eval_num_batches", _INT),
-    "eval.batch": ("spec", "eval_batch", _INT),
-    "eval.subset": ("spec", "eval_subset", _INT),
-    "out.dir": ("spec", "out_dir", _str),
+    "train.label_noise": ("train", "label_noise", float),
+    "strategy.kinds": ("spec", "strategy_kinds", _tuple(str)),
+    "strategy.cdf_source": ("strategy", "cdf_source", str),
+    "grid.fractions": ("spec", "fractions", _tuple(float)),
+    "grid.seeds": ("spec", "seeds", _tuple(int)),
+    "eval.num_batches": ("spec", "eval_num_batches", int),
+    "eval.batch": ("spec", "eval_batch", int),
+    "eval.subset": ("spec", "eval_subset", int),
+    "out.dir": ("spec", "out_dir", str),
 }
 
 
@@ -167,15 +169,20 @@ def parse_config_text(text):
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         kwargs[target][attr] = parsed
 
-    sections = {}
     for name, cls in SECTIONS.items():
-        try:
-            sections[name] = cls(**kwargs[name])
-        except ValueError as exc:  # rejected by the section's own checks
-            at = [f"line {n}: bad value for {k!r}" for k, (n, _) in pairs.items()
-                  if KNOWN_KEYS[k][0] == name and KNOWN_KEYS[k][1] in str(exc).split()]
-            raise ParseError(f"{(at or [f'bad {name} settings'])[0]}: {exc}") from exc
-    return ExperimentSpec(**sections, **kwargs["spec"])
+        kwargs["spec"][name] = _build(name, cls, kwargs[name], pairs)
+    return _build("spec", ExperimentSpec, kwargs["spec"], pairs)
+
+
+def _build(target, cls, kwargs, pairs):
+    """``cls(**kwargs)``; a value its own checks reject is a ParseError that
+    names the line of the key the message mentions."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        at = [f"line {n}: bad value for {k!r}" for k, (n, _) in pairs.items()
+              if KNOWN_KEYS[k][0] == target and KNOWN_KEYS[k][1] in str(exc).split()]
+        raise ParseError(f"{(at or [f'bad {target} settings'])[0]}: {exc}") from exc
 
 
 def load_config(path):

@@ -129,7 +129,7 @@ def ingest_csv(desc):
     """
     with open(desc.path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no label column
         if desc.label_col not in header:
             raise MalformedRow(f"label column {desc.label_col!r} not in header")
         label_idx = header.index(desc.label_col)
@@ -140,6 +140,8 @@ def ingest_csv(desc):
             feat_idx = [header.index(c) for c in desc.feature_cols]
         else:
             feat_idx = [i for i in range(len(header)) if i != label_idx]
+        if not feat_idx:
+            raise DimensionMismatch("the CSV has no feature column")
 
         rows, labels = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -158,6 +160,8 @@ def ingest_csv(desc):
             if lab < 0:
                 raise LabelOutOfRange(f"line {lineno}: negative label {lab}")
             labels.append(lab)
+    if not rows:
+        raise DimensionMismatch("the CSV has no data rows")
 
     X = np.array(rows, dtype=np.float64)
     y = np.array(labels, dtype=np.intp)

@@ -7,8 +7,7 @@ perturb the shared batches. Errors are measured on the full parameter
 gradient, not the last-layer proxy the selection itself uses.
 """
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +23,9 @@ class GradErrorSample:
     strategy: str
     batch_index: int
     squared_error: float
+
+
+GRAD_ERROR_FIELDS = [f.name for f in fields(GradErrorSample)]
 
 
 def full_dataset_gradient(model, X, y, chunk_size=CHUNK_ROWS):
@@ -74,11 +76,3 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
             err = float(diff @ diff)
             samples.append(GradErrorSample(name, b, err))
     return samples
-
-
-def write_grad_error_csv(samples, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "batch_index", "squared_error"])
-        for s in samples:
-            writer.writerow([s.strategy, s.batch_index, s.squared_error])

@@ -49,6 +49,8 @@ class Mlp:
     @classmethod
     def init(cls, layer_sizes, activation="relu", seed=0):
         """Kaiming-uniform weights, zero biases, seeded."""
+        if min(layer_sizes) < 1:
+            raise DimensionMismatch(f"every layer size must be >= 1, got {list(layer_sizes)}")
         rng = np.random.default_rng(seed)
         layers = []
         for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):

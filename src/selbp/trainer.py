@@ -7,7 +7,6 @@ a forward+backward pass costs 1, giving M/3 + m per selective step against
 M for a full-batch step.
 """
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
@@ -42,6 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.base_batch < 1:
+            raise ValueError(f"base_batch must be >= 1, got {self.base_batch}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.fraction <= 1:
             raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
         if self.batch_mode not in BATCH_MODES:
@@ -257,12 +260,3 @@ def run_training(cfg, strategy, dataset, model):
             )
         )
     return records
-
-
-def write_metrics_csv(records, path):
-    """One row per epoch, fixed field order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_FIELDS)
-        for r in records:
-            writer.writerow([getattr(r, name) for name in METRICS_FIELDS])

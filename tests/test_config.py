@@ -81,6 +81,29 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         assert str(exc.value).startswith(where)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("strategy.kinds = random, grad_mtch\n", "strategy.kinds"),
+    ("strategy.kinds =\n", "strategy.kinds"),
+    ("grid.fractions = 0.5, 1.5\n", "grid.fractions"),
+    ("grid.fractions =\n", "grid.fractions"),
+    ("grid.seeds =\n", "grid.seeds"),
+    ("model.activation = gelu\n", "model.activation"),
+    ("model.hidden = 16, 0\n", "model.hidden"),
+    ("eval.subset = 0\n", "eval.subset"),
+    ("eval.batch = 16\n", "eval.batch"),
+    ("eval.num_batches = 0\n", "eval.num_batches"),
+    ("train.epochs = 0\n", "train.epochs"),
+    ("train.base_batch = 0\n", "train.base_batch"),
+])
+def test_grid_level_value_rejected_at_parse_with_its_line(text, key):
+    # The bad key is the last line, after "dataset.kind = blobs" and any kinds line.
+    text = "dataset.kind = blobs\n" + ("" if key == "strategy.kinds" else
+                                      "strategy.kinds = random\n") + text
+    with pytest.raises(ParseError) as exc:
+        parse_config_text(text)
+    assert str(exc.value).startswith(f"line {text.count(chr(10))}: bad value for {key!r}")
+
+
 def test_missing_equals_sign():
     with pytest.raises(ParseError, match="line 1"):
         parse_config_text("dataset.kind blobs\n")

@@ -109,6 +109,20 @@ def test_csv_empty_test_split_rejected(tmp_path):
         ingest_csv(DatasetDescriptor(kind="csv", path=path, split=0.9))
 
 
+@pytest.mark.parametrize("text, what", [("a,label\n", "no data rows"),
+                                        ("label\n0\n1\n0\n1\n", "no feature column")])
+def test_csv_without_rows_or_features_rejected(tmp_path, text, what):
+    desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
+    with pytest.raises(DimensionMismatch, match=what):
+        ingest_csv(desc)
+
+
+def test_empty_csv_file_has_no_label_column(tmp_path):
+    desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, ""), split=0.5)
+    with pytest.raises(MalformedRow, match="label column"):
+        ingest_csv(desc)
+
+
 # ---------------------------------------------------------------- blobs
 
 

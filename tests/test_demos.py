@@ -1,13 +1,21 @@
 """Every demo script and the self-check run to completion against the
-package source, from an empty directory, writing no files; and a process
-that uses the package loads only what the package needs."""
+package source, from an empty directory, writing no files; a process that
+uses the package loads only what the package needs; and the package exports
+exactly what the README and the demos import from it."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import selbp
+import selbp.evalgrad
+import selbp.trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -15,6 +23,20 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 def test_demos_found():
     assert DEMOS
+
+
+def test_package_exports_what_the_readme_and_demos_import():
+    readme = (ROOT / "README.md").read_text()
+    sources = [*re.findall(r"```python\n(.*?)```", readme, re.S),
+               *(demo.read_text() for demo in DEMOS)]
+    imported = {alias.name for source in sources for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "selbp"
+                for alias in node.names}
+    exported = {name for name, value in vars(selbp).items()
+                if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert imported == exported
+    # The result CSVs are written by selbp.cli alone.
+    assert "csv" not in vars(selbp.trainer) and "csv" not in vars(selbp.evalgrad)
 
 
 def run_python(args, cwd):

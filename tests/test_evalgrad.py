@@ -1,14 +1,16 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import selbp.trainer
+from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.evalgrad import (
+    GRAD_ERROR_FIELDS,
     full_dataset_gradient,
     gradient_error_experiment,
-    write_grad_error_csv,
 )
 from selbp.model import Mlp, per_example_grads
 from selbp.selection import StrategyConfig
@@ -139,7 +141,7 @@ def test_sample_counts_and_csv(tmp_path):
     assert counts == {"random": 7, "loss_based": 7, "grad_match": 7}
 
     path = tmp_path / "errors.csv"
-    write_grad_error_csv(samples, path)
+    write_csv(path, GRAD_ERROR_FIELDS, map(astuple, samples))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["strategy", "batch_index", "squared_error"]

@@ -234,6 +234,12 @@ def test_param_roundtrip_and_validation():
         forward_tape(model, np.zeros((3, 5)), np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("sizes", [[2, 0, 3], [0, 4, 3], [2, 4, 0]])
+def test_init_rejects_an_empty_layer(sizes):
+    with pytest.raises(DimensionMismatch, match="layer size"):
+        Mlp.init(sizes)
+
+
 def test_set_params_makes_the_model_read_the_given_vector():
     model = Mlp.init([2, 4, 3], seed=13)
     flat = model.get_params()

@@ -1,10 +1,12 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import BadFraction, TrainingDiverged
 from selbp.model import Mlp
@@ -20,7 +22,6 @@ from selbp.trainer import (
     run_training,
     sgd_update,
     subset_size,
-    write_metrics_csv,
 )
 
 
@@ -334,7 +335,7 @@ def test_metrics_csv_schema_and_roundtrip(tmp_path):
     model = Mlp.init([2, 8, 3], seed=9)
     records = run_training(cfg, StrategyConfig(kind="random", fraction=0.5), ds, model)
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(records, path)
+    write_csv(path, METRICS_FIELDS, map(astuple, records))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == METRICS_FIELDS
@@ -353,3 +354,7 @@ def test_config_validation():
         TrainConfig(label_noise=1.0)
     with pytest.raises(ValueError):
         TrainConfig(schedule="linear")
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="base_batch"):
+        TrainConfig(base_batch=0)
