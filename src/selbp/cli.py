@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``train``      — run the (strategy x fraction x seed) grid, one metrics CSV
-                   per run plus a summary CSV.
+                   per run plus a summary CSV and the resolved config.
 * ``grad-error`` — the gradient-estimate-quality experiment; histogram CSV.
 * ``selftest``   — run the numerical oracle suite and report pass/fail.
 * ``synth-data`` — materialize a synthetic dataset as CSV.
@@ -14,17 +14,18 @@ Consumers are scripts and plotting tools; everything is emitted as tidy CSV.
 import argparse
 import csv
 import logging
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple
 from functools import partial
 
 import numpy as np
 
 from . import evalgrad, oracles
-from .config import load_config
+from .config import dump_config, load_config
 from .data import build_dataset, write_dataset_csv
 from .errors import SelbpError, TrainingDiverged
 from .model import Mlp
@@ -33,6 +34,8 @@ from .trainer import METRICS_FIELDS, run_training
 logger = logging.getLogger(__name__)
 
 SUMMARY_FIELDS = ["strategy", "fraction", "seed", "max_test_accuracy", "cost_units_total"]
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def write_csv(path, fields, rows):
@@ -68,35 +71,28 @@ def _run_cell(args):
             records[-1].cost_units_cum]
 
 
-def read_summary_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        row["fraction"] = float(row["fraction"])
-        row["seed"] = int(row["seed"])
-        row["max_test_accuracy"] = float(row["max_test_accuracy"])
-        row["cost_units_total"] = float(row["cost_units_total"])
-    return rows
-
-
-def aggregate_summary(rows):
-    """Group rows by (strategy, fraction): mean/min/max of max_test_accuracy."""
-    cells = {}
-    for row in rows:
-        cells.setdefault((row["strategy"], row["fraction"]), []).append(
-            row["max_test_accuracy"]
-        )
-    # The mean is clipped to [min, max]: rounded, the mean of equal values
-    # can land one ulp outside them.
-    return {
-        key: {"mean": float(np.clip(np.mean(v), min(v), max(v))), "min": min(v),
-              "max": max(v), "n": len(v)}
-        for key, v in cells.items()
-    }
+@contextmanager
+def _worker_pool(jobs):
+    """``jobs`` worker processes with one BLAS thread each. They are spawned,
+    not forked, so each starts a fresh numpy under the thread variables, which
+    are set only while the pool lives."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def cmd_train(spec, jobs=1):
     os.makedirs(spec.out_dir, exist_ok=True)
+    with open(os.path.join(spec.out_dir, "config.cfg"), "w") as fh:
+        fh.write(dump_config(spec))
     cells = [
         (spec, kind, fraction, seed, spec.out_dir)
         for kind in spec.strategy_kinds
@@ -105,7 +101,7 @@ def cmd_train(spec, jobs=1):
     ]
     failures = 0
     rows = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _worker_pool(jobs) if jobs > 1 else nullcontext() as pool:
         # Each cell's result: a worker's future, or the cell run here when called.
         results = [pool.submit(_run_cell, c).result if pool else partial(_run_cell, c)
                    for c in cells]
@@ -176,9 +172,16 @@ def _load_spec(args):
     spec = load_config(args.config)
     if args.out is not None:
         spec.out_dir = args.out
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         spec.seeds = (args.seed,)
     return spec
+
+
+def _jobs(value):
+    jobs = int(value)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def main(argv=None):
@@ -190,9 +193,10 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--seed", type=int, default=None, help="restrict the seed grid")
+        if name != "synth-data":  # the data's seed is dataset.seed
+            p.add_argument("--seed", type=int, default=None, help="restrict the seed grid")
         if name == "train":
-            p.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
+            p.add_argument("--jobs", type=_jobs, default=1, help="parallel grid cells")
 
     sub.add_parser("selftest")
 

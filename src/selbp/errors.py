@@ -17,10 +17,6 @@ class BadFraction(SelbpError):
     """A subset size or subsampling fraction is out of its valid range."""
 
 
-class DegenerateWeights(SelbpError):
-    """All sampling weights vanished; weighted sampling is undefined."""
-
-
 class TrainingDiverged(SelbpError):
     """Training hit a non-finite loss. Carries the metrics recorded so far."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFraction, DegenerateWeights, DimensionMismatch, EmptySelection
+from .errors import BadFraction, DimensionMismatch, EmptySelection
 from .gram import mean_correlations
 from .omp import OmpConfig, Selection, omp_gram
 
@@ -74,9 +74,11 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     Uses exponential-key weighted sampling without replacement (keys
     Exp(1)/p_i, smallest m win) so every call returns exactly m distinct
     indices. When ``cfg.cdf_source`` is ``rolling_buffer`` the CDF reference
-    is the contents of ``buffer``, a :func:`loss_history` (falling back to the
-    batch while it is still empty), and the M fresh losses are appended
-    afterward, evicting the oldest.
+    is the contents of ``buffer``, a :func:`loss_history`, and the M fresh
+    losses are appended afterward, evicting the oldest. While the buffer is
+    empty, or when no loss has a positive keep probability against it (a batch
+    wholly below it), the batch is ranked within itself, so its largest loss
+    has keep probability 1.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]
@@ -87,16 +89,11 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     if not np.isfinite(losses).all():
         raise ValueError("losses contain non-finite entries")
 
-    use_buffer = cfg.cdf_source == "rolling_buffer" and buffer is not None
-    if use_buffer and len(buffer) > 0:
-        reference = np.array(buffer)
-    else:
-        reference = losses
-
     beta = M / m
-    p = empirical_cdf(losses, reference) ** beta
-    if not (p > 0).any():
-        raise DegenerateWeights("all keep probabilities are zero")
+    use_buffer = cfg.cdf_source == "rolling_buffer" and buffer is not None
+    p = empirical_cdf(losses, np.array(buffer)) ** beta if use_buffer and buffer else None
+    if p is None or not p.any():
+        p = empirical_cdf(losses, losses) ** beta
 
     with np.errstate(divide="ignore"):
         keys = rng.exponential(size=M) / p

@@ -1,12 +1,14 @@
 import csv
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import selbp.cli
 import selbp.oracles
-from selbp.cli import aggregate_summary, main, read_summary_csv
+from selbp.cli import BLAS_THREAD_VARS, main
+from selbp.config import load_config, parse_config_text
 
 SMALL_GRID = """
 dataset.kind = blobs
@@ -28,12 +30,24 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+def read_summary_csv(path):
+    """The rows of a ``summary.csv``, with its numbers parsed."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["fraction"] = float(row["fraction"])
+        row["seed"] = int(row["seed"])
+        row["max_test_accuracy"] = float(row["max_test_accuracy"])
+        row["cost_units_total"] = float(row["cost_units_total"])
+    return rows
+
+
 def test_train_grid_cardinality(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_GRID)
     out = tmp_path / "runs"
     rc = main(["train", "--config", cfg, "--out", str(out)])
     assert rc == 0
-    csvs = sorted(p for p in os.listdir(out) if p != "summary.csv")
+    csvs = sorted(p for p in os.listdir(out) if p.endswith(".csv") and p != "summary.csv")
     assert len(csvs) == 2 * 2 * 2  # strategies x fractions x seeds
     assert "random_rho0.5_seed0.csv" in csvs
     rows = read_summary_csv(out / "summary.csv")
@@ -76,26 +90,48 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert r1 == r2
 
 
-def test_aggregate_summary_recompute():
-    rows = [
-        {"strategy": "random", "fraction": 0.5, "seed": 0, "max_test_accuracy": 0.8},
-        {"strategy": "random", "fraction": 0.5, "seed": 1, "max_test_accuracy": 0.9},
-        {"strategy": "loss_based", "fraction": 0.5, "seed": 0, "max_test_accuracy": 0.7},
-    ]
-    agg = aggregate_summary(rows)
-    cell = agg[("random", 0.5)]
-    assert cell == {"mean": pytest.approx(0.85), "min": 0.8, "max": 0.9, "n": 2}
-    assert agg[("loss_based", 0.5)]["n"] == 1
+def test_train_writes_its_resolved_config(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    out = tmp_path / "runs"
+    main(["train", "--config", cfg, "--out", str(out), "--seed", "3"])
+    spec = load_config(cfg)
+    spec.out_dir, spec.seeds = str(out), (3,)
+    assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
-def test_aggregate_summary_mean_of_equal_values_is_that_value():
-    # np.mean of three copies of this accuracy rounds one ulp below it.
-    acc = 0.9616666666666667
-    rows = [{"strategy": "grad_match", "fraction": 0.5, "seed": s, "max_test_accuracy": acc}
-            for s in range(3)]
-    cell = aggregate_summary(rows)[("grad_match", 0.5)]
-    assert cell["min"] <= cell["mean"] <= cell["max"]
-    assert cell["mean"] == acc
+def _blas_probe():
+    """A worker's BLAS thread variables and, on Linux, its thread count after a
+    product large enough for OpenBLAS to use its pool."""
+    np.ones((256, 256)) @ np.ones((256, 256))
+    threads = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+    return [os.environ.get(var) for var in BLAS_THREAD_VARS], threads
+
+
+def test_jobs_workers_run_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    with selbp.cli._worker_pool(2) as pool:
+        values, threads = pool.submit(_blas_probe).result()
+    assert values == ["1"] * len(BLAS_THREAD_VARS)
+    assert threads == (1 if sys.platform == "linux" else None)
+    # The caller's environment is as it was.
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4" and "OMP_NUM_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_fails_at_parse(tmp_path, jobs):
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert not (tmp_path / "runs").exists()
+
+
+def test_synth_data_has_no_seed_flag(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-data", "--config", cfg, "--seed", "3"])
+    assert exc.value.code == 2
 
 
 def test_grad_error_command(tmp_path):

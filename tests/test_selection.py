@@ -14,6 +14,7 @@ from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
     StrategyConfig,
     empirical_cdf,
+    loss_history,
     select_grad_match,
     select_loss_based,
     select_random,
@@ -180,6 +181,49 @@ def test_loss_buffer_evicts_fifo():
     select_loss_based(np.array([1.0, 2.0]), 1, cfg, buffer, rng)
     select_loss_based(np.array([3.0, 4.0]), 1, cfg, buffer, rng)
     np.testing.assert_array_equal(np.array(buffer), [2.0, 3.0, 4.0])
+
+
+def test_loss_based_batch_below_the_buffer_ranks_within_itself():
+    # Every loss lies below the whole buffer, so none has a positive keep
+    # probability against it: the batch is ranked within itself instead.
+    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
+    buffer = deque([5.0, 6.0, 7.0, 8.0], maxlen=32)
+    losses = np.array([1.0, 2.0, 3.0, 4.0])
+    sel = select_loss_based(losses, 1, cfg, buffer, np.random.default_rng(11))
+    within = select_loss_based(losses, 1, StrategyConfig(kind="loss_based"), None,
+                               np.random.default_rng(11))
+    assert sel.size == 1
+    np.testing.assert_array_equal(sel.indices, within.indices)
+    np.testing.assert_array_equal(np.array(buffer), [5.0, 6.0, 7.0, 8.0, *losses])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    history=st.lists(st.floats(-1e6, 1e6), max_size=40),
+    batch=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+    below=st.booleans(),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_based_rolling_buffer_property(history, batch, below, data, seed):
+    losses = np.array(batch)
+    if below and history:  # shift the batch wholly below the buffer
+        losses += min(history) - losses.max() - 1.0
+    M = losses.shape[0]
+    m = data.draw(st.integers(1, M), label="m")
+    buffer = loss_history(M)
+    buffer.extend(history)
+    expected_buffer = [*buffer, *losses][-8 * M:]
+    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
+    sel = select_loss_based(losses, m, cfg, buffer, np.random.default_rng(seed))
+    assert sel.size == m and np.unique(sel.indices).size == m
+    assert 0 <= sel.indices.min() and sel.indices.max() < M
+    np.testing.assert_array_equal(sel.weights, np.ones(m))
+    np.testing.assert_array_equal(np.array(buffer), expected_buffer)
+    if below and history:
+        within = select_loss_based(losses, m, StrategyConfig(kind="loss_based"), None,
+                                   np.random.default_rng(seed))
+        np.testing.assert_array_equal(sel.indices, within.indices)
 
 
 def test_loss_based_deterministic_given_seed():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selbp.trainer
 from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import BadFraction, TrainingDiverged
@@ -305,6 +306,22 @@ def test_cumulative_fields_non_decreasing():
     bp = [r.backprop_points_cum for r in records]
     cu = [r.cost_units_cum for r in records]
     assert bp == sorted(bp) and cu == sorted(cu)
+
+
+def test_rolling_buffer_run_survives_a_batch_below_the_buffer(monkeypatch):
+    # With two-row batches the losses soon fall below the whole rolling buffer.
+    real = selbp.trainer.select_loss_based
+    below = []
+
+    def watch(losses, m, cfg, buffer, rng):
+        below.append(bool(buffer) and losses.max() < min(buffer))
+        return real(losses, m, cfg, buffer, rng)
+
+    monkeypatch.setattr(selbp.trainer, "select_loss_based", watch)
+    cfg = TrainConfig(base_batch=2, fraction=0.5, epochs=2, base_lr=0.05, seed=0)
+    strat = StrategyConfig(kind="loss_based", fraction=0.5, cdf_source="rolling_buffer")
+    records = run_training(cfg, strat, small_blobs(), Mlp.init([2, 32, 3], seed=0))
+    assert any(below) and len(records) == 2
 
 
 def test_divergence_raises_with_diagnostic_record():
