@@ -13,7 +13,8 @@ D*C + C. This script builds both sides on a real MLP and prints the error.
 
 import numpy as np
 
-from selbp import Mlp, forward_tape, gram_explicit, gram_implicit, per_example_grads
+from selbp import Mlp, forward_tape, gram_implicit, per_example_grads
+from selbp.oracles import gram_explicit
 
 rng = np.random.default_rng(0)
 model = Mlp.init([4, 32, 5], seed=1)

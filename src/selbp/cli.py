@@ -90,9 +90,10 @@ def _worker_pool(jobs):
 
 
 def cmd_train(spec, jobs=1):
+    resolved = dump_config(spec)  # before any output, as it may refuse a value
     os.makedirs(spec.out_dir, exist_ok=True)
     with open(os.path.join(spec.out_dir, "config.cfg"), "w") as fh:
-        fh.write(dump_config(spec))
+        fh.write(resolved)
     cells = [
         (spec, kind, fraction, seed, spec.out_dir)
         for kind in spec.strategy_kinds

@@ -1,10 +1,12 @@
 """Flat key=value experiment configuration with named hyperparameter presets.
 
-The format is one ``key = value`` pair per line; ``#`` starts a comment.
-Lists are comma-separated. Unknown keys are hard errors. The full schema is
+The format is one ``key = value`` pair per line; ``#`` starts a comment at
+the start of a line or after whitespace, so a value may hold ``#``. Lists
+are comma-separated. Unknown keys are hard errors. The full schema is
 documented in the README and in ``REQUIRED_KEYS`` / ``KNOWN_KEYS`` below.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 
 from .data import DatasetDescriptor
@@ -53,6 +55,10 @@ class ExperimentSpec:
             raise ValueError(f"fractions must be in (0, 1], got {self.fractions}")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        for name in ("strategy_kinds", "fractions", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not all(h >= 1 for h in self.hidden):
@@ -71,6 +77,9 @@ class ExperimentSpec:
 
 
 REQUIRED_KEYS = ("dataset.kind", "strategy.kinds")
+
+# A comment starts at a '#' that begins the line or follows whitespace.
+COMMENT = re.compile(r"(?:^|\s)#")
 
 # ExperimentSpec fields that hold a config object, each built from its keys.
 SECTIONS = {"dataset": DatasetDescriptor, "train": TrainConfig, "strategy": StrategyConfig}
@@ -136,7 +145,7 @@ def parse_config_text(text):
     """Parse config text into an ExperimentSpec. See :func:`load_config`."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -206,11 +215,15 @@ def _fmt(value):
 
 
 def dump_config(spec):
-    """Serialize a spec so that parse(dump(spec)) == spec."""
+    """Serialize a spec so that parse(dump(spec)) == spec. Raises
+    :class:`ParseError` for a value the parser would read as a comment."""
     lines = []
     for key, (target, attr, _) in KNOWN_KEYS.items():
         if target == "preset":
             continue
         owner = spec if target == "spec" else getattr(spec, target)
-        lines.append(f"{key} = {_fmt(getattr(owner, attr))}")
+        value = _fmt(getattr(owner, attr))
+        if COMMENT.search(value):
+            raise ParseError(f"{key} = {value!r}: its '#' would be read as a comment")
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -28,15 +28,16 @@ class GradErrorSample:
 GRAD_ERROR_FIELDS = [f.name for f in fields(GradErrorSample)]
 
 
-def full_dataset_gradient(model, X, y, chunk_size=CHUNK_ROWS):
-    """Exact mean gradient over the whole set, streamed in chunks. Raises
-    ``ValueError`` when a chunk's activations or losses are not finite."""
+def full_dataset_gradient(model, X, y):
+    """Exact mean gradient over the whole set, streamed ``CHUNK_ROWS`` rows at
+    a time. Raises ``ValueError`` when a chunk's activations or losses are not
+    finite."""
     N = X.shape[0]
     if N == 0:
         raise DimensionMismatch("dataset must be non-empty")
     total = np.zeros(model.n_params)
-    for start in range(0, N, chunk_size):
-        Xc, yc = X[start : start + chunk_size], y[start : start + chunk_size]
+    for start in range(0, N, CHUNK_ROWS):
+        Xc, yc = X[start : start + CHUNK_ROWS], y[start : start + CHUNK_ROWS]
         sel = Selection(np.arange(Xc.shape[0]), np.ones(Xc.shape[0]))
         tape = forward_tape(model, Xc, yc)
         total += weighted_backward(model, Xc, yc, sel, tape=tape) * Xc.shape[0]

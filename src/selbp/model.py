@@ -2,9 +2,10 @@
 
 The network exposes exactly the forward-pass byproducts the selection
 strategies need (last-layer inputs H, output gradients P, per-example
-losses) plus a weighted backward pass and per-example full gradients for
-the evaluation experiments. Per-example losses use sum semantics (no 1/M
-inside P); the 1/|I| mean appears only in the weighted gradient estimate.
+losses; ``forward_tape`` returns them as a :class:`BatchTape`) plus a
+weighted backward pass and per-example full gradients for the evaluation
+experiments. Per-example losses use sum semantics (no 1/M inside P); the
+1/|I| mean appears only in the weighted gradient estimate.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gram import BatchTape
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -126,16 +126,58 @@ def _softmax_stats(logits, y):
     return losses, P
 
 
+@dataclass(frozen=True)
+class BatchTape:
+    """Forward-pass byproducts for one minibatch.
+
+    H: (M, D) inputs to the last linear layer.
+    P: (M, C) per-example loss gradients w.r.t. the model outputs.
+    losses: (M,) per-example loss values.
+    inputs: each layer's input, X first and H last; empty on hand-built tapes.
+    """
+
+    H: np.ndarray
+    P: np.ndarray
+    losses: np.ndarray
+    inputs: tuple = ()
+
+    def __post_init__(self):
+        # Contiguous rows let gram_implicit's A @ A.T run as one symmetric update.
+        H = np.ascontiguousarray(self.H, dtype=np.float64)
+        P = np.ascontiguousarray(self.P, dtype=np.float64)
+        losses = np.asarray(self.losses, dtype=np.float64)
+        if H.ndim != 2 or P.ndim != 2 or losses.ndim != 1:
+            raise DimensionMismatch("H and P must be 2-D, losses 1-D")
+        if not (H.shape[0] == P.shape[0] == losses.shape[0]):
+            raise DimensionMismatch(
+                f"row counts disagree: H {H.shape[0]}, P {P.shape[0]}, "
+                f"losses {losses.shape[0]}"
+            )
+        for name, a in (("H", H), ("P", P), ("losses", losses)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} contains non-finite entries")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "losses", losses)
+
+    @property
+    def M(self):
+        return self.H.shape[0]
+
+    @property
+    def D(self):
+        return self.H.shape[1]
+
+    @property
+    def C(self):
+        return self.P.shape[1]
+
+
 def forward_tape(model, X, y):
     """Forward pass returning the selection inputs (H, P, losses) and each layer's input."""
     a, logits = _forward(model, X)
     losses, P = _softmax_stats(logits, y)
     return BatchTape(H=a[-1], P=P, losses=losses, inputs=tuple(a))
-
-
-def predict(model, X):
-    _, logits = _forward(model, X)
-    return logits.argmax(axis=1)
 
 
 def accuracy(model, X, y):

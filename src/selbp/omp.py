@@ -8,9 +8,8 @@ one matrix-vector product writing one contiguous row, and the correlations
 one rank-one step (a taken atom's is set to -inf). Rows I of Q are the
 Cholesky factor L of K[I, I], read off at the end; the weights L^-T z,
 z = L^-1 t_I, are solved for once (``batch_omp_factor`` is the greedy pass
-up to that solve).
-``omp_dense_oracle`` is the textbook implementation on explicit vectors,
-used as the reference in tests.
+up to that solve). The textbook OMP on explicit vectors that it must
+agree with is ``selbp.oracles.omp_dense_oracle``.
 
 The greedy step picks the raw (signed) maximum correlation and stops once
 no available atom correlates positively with the residual.
@@ -130,53 +129,3 @@ def batch_omp_factor(K, t, cfg):
         raise EmptySelection("no atom correlates with the target")
     idx = np.array(indices)
     return idx, np.tril(Qt[:n, idx].T), z[:n]
-
-
-def omp_dense_oracle(atoms, target, m):
-    """Textbook OMP on explicit atom vectors (rows of ``atoms``).
-
-    Reference implementation for tests: greedy residual-correlation selection
-    with a full least-squares refit after every addition.
-    """
-    A = np.asarray(atoms, dtype=np.float64)
-    b = np.asarray(target, dtype=np.float64).reshape(-1)
-    M = A.shape[0]
-    if A.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"atoms have width {A.shape[1]} but target has length {b.shape[0]}"
-        )
-    if m > M:
-        raise DimensionMismatch(f"m {m} exceeds number of atoms {M}")
-
-    resid = b.copy()
-    available = np.ones(M, dtype=bool)
-    indices = []
-    gamma = np.zeros(0)
-
-    while len(indices) < m:
-        masked = np.where(available, A @ resid, -np.inf)
-        k = int(np.argmax(masked))
-        if masked[k] <= 0.0:
-            if not indices:
-                raise EmptySelection("no atom correlates with the target")
-            break
-        indices.append(k)
-        available[k] = False
-        gamma, *_ = np.linalg.lstsq(A[indices].T, b, rcond=None)
-        resid = b - A[indices].T @ gamma
-
-    return Selection(np.array(indices), gamma)
-
-
-def residual_norm_sq(K, t, t0, sel):
-    """Matching objective ||sum_i gamma_i g_i - gbar||^2 from inner products.
-
-    ``t0`` is ||gbar||^2, obtainable as the mean of t when t stems from
-    :func:`selbp.gram.mean_correlations`.
-    """
-    K = np.asarray(K, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
-    idx = sel.indices
-    g = sel.weights
-    quad = g @ K[np.ix_(idx, idx)] @ g
-    return float(quad - 2.0 * (g @ t[idx]) + t0)

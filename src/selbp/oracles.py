@@ -1,13 +1,80 @@
-"""Reference checks shared by ``selbp selftest`` and the test suite: each
-compares a routine with an independent oracle on random instances from the
-caller's generator, within the acceptance bounds, and returns (passed, detail).
+"""Reference implementations, written for clarity rather than speed, and the
+checks that compare the package with them. The references: the last-layer
+gradients that ``gram_implicit`` never forms and their Gram, textbook OMP on
+explicit vectors, and the matching objective. The checks, shared by ``selbp
+selftest`` and the test suite, compare a routine with an oracle on random
+instances from the caller's generator and return (passed, detail).
 """
 
 import numpy as np
 
-from .gram import BatchTape, explicit_gradients, gram_explicit, gram_implicit
-from .model import ACTIVATIONS, Mlp, forward_tape, per_example_grads, weighted_backward
-from .omp import OmpConfig, Selection, omp_dense_oracle, omp_gram, residual_norm_sq
+from .errors import DimensionMismatch, EmptySelection
+from .model import (ACTIVATIONS, BatchTape, Mlp, forward_tape, per_example_grads,
+                    weighted_backward)
+from .omp import OmpConfig, Selection, omp_gram
+from .selection import gram_implicit
+
+
+def explicit_gradients(tape):
+    """Flattened last-layer gradients [vec(p_i h_i^T); p_i], one row per example."""
+    outer = np.einsum("mc,md->mcd", tape.P, tape.H).reshape(tape.M, -1)
+    return np.concatenate([outer, tape.P], axis=1)
+
+
+def gram_explicit(tape):
+    """Brute-force Gram matrix from explicitly materialized gradients. They
+    are one contiguous buffer, so ``V @ V.T`` is exactly symmetric."""
+    V = explicit_gradients(tape)
+    return V @ V.T
+
+
+def omp_dense_oracle(atoms, target, m):
+    """Textbook OMP on explicit atom vectors (rows of ``atoms``).
+
+    Greedy residual-correlation selection with a full least-squares refit
+    after every addition.
+    """
+    A = np.asarray(atoms, dtype=np.float64)
+    b = np.asarray(target, dtype=np.float64).reshape(-1)
+    M = A.shape[0]
+    if A.shape[1] != b.shape[0]:
+        raise DimensionMismatch(
+            f"atoms have width {A.shape[1]} but target has length {b.shape[0]}"
+        )
+    if m > M:
+        raise DimensionMismatch(f"m {m} exceeds number of atoms {M}")
+
+    resid = b.copy()
+    available = np.ones(M, dtype=bool)
+    indices = []
+    gamma = np.zeros(0)
+
+    while len(indices) < m:
+        masked = np.where(available, A @ resid, -np.inf)
+        k = int(np.argmax(masked))
+        if masked[k] <= 0.0:
+            if not indices:
+                raise EmptySelection("no atom correlates with the target")
+            break
+        indices.append(k)
+        available[k] = False
+        gamma, *_ = np.linalg.lstsq(A[indices].T, b, rcond=None)
+        resid = b - A[indices].T @ gamma
+
+    return Selection(np.array(indices), gamma)
+
+
+def residual_norm_sq(K, t, t0, sel):
+    """Matching objective ||sum_i gamma_i g_i - gbar||^2 from inner products.
+
+    ``t0`` is ||gbar||^2, the mean of t when t holds the row means of K.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    idx = sel.indices
+    g = sel.weights
+    quad = g @ K[np.ix_(idx, idx)] @ g
+    return float(quad - 2.0 * (g @ t[idx]) + t0)
 
 
 def mean_loss(model, X, y):

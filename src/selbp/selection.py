@@ -7,7 +7,8 @@ Three strategies behind one interface, all returning a :class:`Selection`:
   realized as exact-size weighted sampling without replacement.
 * ``select_grad_match`` — Gram-OMP approximation of the minibatch mean
   gradient using last-layer inner products, keeping the positive weights
-  rescaled to sum to the selection size.
+  rescaled to sum to the selection size; ``gram_implicit`` builds those
+  inner products from a forward tape.
 """
 
 import logging
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFraction, DimensionMismatch, EmptySelection
-from .gram import mean_correlations
 from .omp import OmpConfig, Selection, omp_gram
 
 logger = logging.getLogger(__name__)
@@ -45,6 +45,28 @@ def loss_history(M):
     """The rolling-buffer CDF's reference: the latest ``8 * M`` losses, eight
     forward batches of ``M`` rows."""
     return deque(maxlen=8 * M)
+
+
+def gram_implicit(tape):
+    """Gram matrix of last-layer gradients without forming them.
+
+    Example i's gradient w.r.t. the linear output layer (W, b) is
+    (p_i h_i^T, p_i), h_i being the layer's input and p_i the loss gradient
+    w.r.t. the model output. Their pairwise inner products are
+
+        K_ij = (h_i^T h_j)(p_i^T p_j) + p_i^T p_j,
+
+    so K = HH^T o PP^T + PP^T with o elementwise, at O(M^2 (D + C)) flops;
+    ``selbp.oracles.gram_explicit`` is the brute-force reference.
+    """
+    # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
+    # rank-k update with an exactly symmetric result; elementwise products
+    # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
+    PPt = tape.P @ tape.P.T
+    K = tape.H @ tape.H.T
+    K *= PPt
+    K += PPt
+    return K
 
 
 def select_random(M, m, rng):
@@ -107,12 +129,15 @@ def select_loss_based(losses, m, cfg, buffer, rng):
 def select_grad_match(K, m, rng):
     """Gram-OMP selection of the weighted subset matching the mean gradient.
 
-    Runs OMP on (K, row means of K), drops the atoms whose weight is not
+    Runs OMP on (K, row means of K), a row mean being that gradient's inner
+    product with the batch mean gradient; drops the atoms whose weight is not
     positive (clipped to zero, they would be backpropagated for nothing),
     then rescales so the weights sum to |I|. Falls back to random selection
     when nothing correlates with the mean gradient or no weight is positive.
     """
     K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 2:
+        raise DimensionMismatch(f"K must be a square matrix, got shape {K.shape}")
     M = K.shape[0]
     if m < 1:
         raise BadFraction("subset size m must be >= 1")
@@ -120,7 +145,7 @@ def select_grad_match(K, m, rng):
         raise DimensionMismatch(f"m {m} exceeds batch size {M}")
 
     try:
-        raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=m))
+        raw = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=m))
         keep = raw.weights > 0.0
         if not keep.any():
             raise EmptySelection("no OMP weight is positive")

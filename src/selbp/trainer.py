@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import BadFraction, TrainingDiverged
-from .gram import gram_implicit
 from .model import accuracy, forward_tape, weighted_backward
 from .omp import Selection
-from .selection import loss_history, select_grad_match, select_loss_based, select_random
+from .selection import (gram_implicit, loss_history, select_grad_match,
+                        select_loss_based, select_random)
 
 SCHEDULES = ("constant", "step", "cosine")
 BATCH_MODES = ("fixed", "scaled")

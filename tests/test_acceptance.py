@@ -13,11 +13,10 @@ from scipy import stats
 from selbp.config import parse_config_text
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.evalgrad import gradient_error_experiment
-from selbp.gram import BatchTape, gram_implicit
-from selbp.model import Mlp, forward_tape
+from selbp.model import BatchTape, Mlp, forward_tape
 from selbp.omp import OmpConfig, omp_gram
 from selbp.oracles import gradient_check, gram_identity, omp_oracle, proxy_identity
-from selbp.selection import StrategyConfig, select_grad_match, select_loss_based
+from selbp.selection import StrategyConfig, gram_implicit, select_grad_match, select_loss_based
 from selbp.trainer import TrainConfig, apply_label_noise, cost_units, run_training
 
 

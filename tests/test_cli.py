@@ -99,6 +99,14 @@ def test_train_writes_its_resolved_config(tmp_path):
     assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
+def test_train_refuses_an_out_dir_its_config_cannot_name(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    out = tmp_path / "runs #1"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert "out.dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _blas_probe():
     """A worker's BLAS thread variables and, on Linux, its thread count after a
     product large enough for OpenBLAS to use its pool."""

@@ -87,6 +87,9 @@ def test_value_rejected_by_its_section_reports_line_and_key():
     ("grid.fractions = 0.5, 1.5\n", "grid.fractions"),
     ("grid.fractions =\n", "grid.fractions"),
     ("grid.seeds =\n", "grid.seeds"),
+    ("strategy.kinds = grad_match, random, grad_match\n", "strategy.kinds"),
+    ("grid.fractions = 0.5, 0.50\n", "grid.fractions"),
+    ("grid.seeds = 1, 2, 1\n", "grid.seeds"),
     ("model.activation = gelu\n", "model.activation"),
     ("model.hidden = 16, 0\n", "model.hidden"),
     ("eval.subset = 0\n", "eval.subset"),
@@ -191,6 +194,19 @@ def test_dump_parse_roundtrip():
 def test_dump_default_spec_roundtrip():
     spec = ExperimentSpec()
     assert parse_config_text(dump_config(spec)) == spec
+
+
+def test_dump_parse_roundtrip_keeps_a_hash_inside_a_value():
+    spec = parse_config_text(MINIMAL.replace("blobs", "csv")
+                             + "dataset.path = data#1.csv\nout.dir = h#1  # comment\n")
+    assert (spec.dataset.path, spec.out_dir) == ("data#1.csv", "h#1")
+    assert parse_config_text(dump_config(spec)) == spec
+
+
+@pytest.mark.parametrize("out_dir", ["runs #1", "#runs", "a\t#b"])
+def test_dump_refuses_a_value_it_cannot_write_back(out_dir):
+    with pytest.raises(ParseError, match="out.dir"):
+        dump_config(ExperimentSpec(out_dir=out_dir))
 
 
 def test_load_config_file(tmp_path):

@@ -62,6 +62,12 @@ def test_selftest_runs_without_pytest(tmp_path):
     assert run_python(["-c", probe], tmp_path).strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["selbp", "selbp.trainer"])
+def test_a_run_does_not_load_the_oracles(module, tmp_path):
+    probe = f"import sys, {module}; print('selbp.oracles' in sys.modules)"
+    assert run_python(["-c", probe], tmp_path).strip() == "False"
+
+
 ONE_BLAS_PROBE = """
 import sys
 import numpy as np

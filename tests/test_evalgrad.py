@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import selbp.evalgrad
 import selbp.trainer
 from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
@@ -46,18 +47,20 @@ def test_full_gradient_duplication_invariant():
     np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
-def test_full_gradient_matches_per_example_mean():
+def test_full_gradient_matches_per_example_mean(monkeypatch):
     model, X, y = toy_problem(N=256)
-    g = full_dataset_gradient(model, X, y, chunk_size=100)
+    monkeypatch.setattr(selbp.evalgrad, "CHUNK_ROWS", 100)
+    g = full_dataset_gradient(model, X, y)
     mean = per_example_grads(model, X, y).mean(axis=0)
     assert np.abs(g - mean).max() <= 1e-12 * max(np.abs(mean).max(), 1.0)
 
 
-def test_full_gradient_rejects_non_finite_activations():
+def test_full_gradient_rejects_non_finite_activations(monkeypatch):
     model, X, y = toy_problem(N=40)
+    monkeypatch.setattr(selbp.evalgrad, "CHUNK_ROWS", 32)
     X[33, 1] = np.nan  # in the second chunk
     with pytest.raises(ValueError, match="non-finite"):
-        full_dataset_gradient(model, X, y, chunk_size=32)
+        full_dataset_gradient(model, X, y)
 
 
 def test_full_strategy_zero_error_on_single_batch_dataset():

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from selbp.errors import DimensionMismatch
-from selbp.gram import (
-    BatchTape,
-    explicit_gradients,
-    gram_explicit,
-    gram_implicit,
-    mean_correlations,
-)
-from selbp.oracles import gram_identity
+from selbp.model import BatchTape
+from selbp.oracles import explicit_gradients, gram_explicit, gram_identity
+from selbp.selection import gram_implicit
 
 
 def random_tape(rng, M=None, D=None, C=None):
@@ -108,17 +103,22 @@ def test_psd_spot_check():
     assert (np.diag(K) >= 0).all()
 
 
-def test_mean_correlations_identity_and_ones():
-    np.testing.assert_array_equal(mean_correlations(np.eye(4)), np.full(4, 0.25))
-    np.testing.assert_array_equal(mean_correlations(np.ones((3, 3))), np.ones(3))
+def test_gram_row_means_identity_and_ones():
+    # With H = 0, K = PP^T: orthonormal rows of P give the identity, equal
+    # unit rows the all-ones matrix.
+    orthonormal = BatchTape(H=np.zeros((4, 3)), P=np.eye(4), losses=np.zeros(4))
+    np.testing.assert_array_equal(gram_implicit(orthonormal).mean(axis=1), np.full(4, 0.25))
+    equal = BatchTape(H=np.zeros((3, 3)), P=np.ones((3, 1)), losses=np.zeros(3))
+    np.testing.assert_array_equal(gram_implicit(equal).mean(axis=1), np.ones(3))
 
 
-def test_mean_correlations_matches_explicit_mean_gradient():
+def test_gram_row_means_match_explicit_mean_gradient():
+    # The target select_grad_match hands to OMP: t = V gbar.
     rng = np.random.default_rng(7)
     tape = random_tape(rng, M=10, D=6, C=4)
     V = explicit_gradients(tape)
     gbar = V.mean(axis=0)
-    t = mean_correlations(gram_implicit(tape))
+    t = gram_implicit(tape).mean(axis=1)
     np.testing.assert_allclose(t, V @ gbar, rtol=1e-12, atol=1e-12)
     # summed correlations equal M * ||gbar||^2
     np.testing.assert_allclose(t.sum(), tape.M * gbar @ gbar, rtol=1e-12)
@@ -129,5 +129,3 @@ def test_tape_validation():
         BatchTape(H=np.zeros((3, 2)), P=np.zeros((2, 2)), losses=np.zeros(3))
     with pytest.raises(ValueError):
         BatchTape(H=np.full((2, 2), np.nan), P=np.zeros((2, 2)), losses=np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        mean_correlations(np.zeros((2, 3)))

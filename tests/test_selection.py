@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import selbp.selection
-from selbp.errors import BadFraction
-from selbp.gram import BatchTape, gram_implicit, mean_correlations
-from selbp.model import Mlp, forward_tape, weighted_backward
+from selbp.errors import BadFraction, DimensionMismatch
+from selbp.model import BatchTape, Mlp, forward_tape, weighted_backward
 from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
     StrategyConfig,
     empirical_cdf,
+    gram_implicit,
     loss_history,
     select_grad_match,
     select_loss_based,
@@ -276,6 +276,12 @@ def test_grad_match_falls_back_to_random_on_zero_gram(monkeypatch):
     np.testing.assert_array_equal(sel.weights, np.ones(2))
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), ()])
+def test_grad_match_rejects_a_non_square_gram(shape):
+    with pytest.raises(DimensionMismatch):
+        select_grad_match(np.ones(shape), 1, np.random.default_rng(12))
+
+
 def test_grad_match_drops_atoms_clipped_to_zero():
     # A batch whose OMP solution at m=8 holds one negative weight.
     rng = np.random.default_rng(30)
@@ -284,7 +290,7 @@ def test_grad_match_drops_atoms_clipped_to_zero():
     y = rng.integers(0, 3, 16)
     tape = forward_tape(model, X, y)
     K = gram_implicit(tape)
-    raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=8))
+    raw = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=8))
     assert (raw.weights < 0).sum() == 1
 
     sel = select_grad_match(K, 8, rng)
@@ -345,7 +351,7 @@ def test_grad_match_weights_on_a_real_gram_property(activation, seed, sizes):
     assert (sel.weights > 0).all()
     assert abs(sel.weights.sum() - sel.size) <= 1e-12 * sel.size
     # The kept atoms are OMP's positive-weight atoms, in the order OMP took them.
-    raw = omp_gram(K, mean_correlations(K), OmpConfig(max_atoms=m))
+    raw = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=m))
     np.testing.assert_array_equal(sel.indices, raw.indices[raw.weights > 0])
 
 
