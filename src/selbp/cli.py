@@ -5,7 +5,8 @@ Subcommands:
 * ``train``      — run the (strategy x fraction x seed) grid, one metrics CSV
                    per run plus a summary CSV and the resolved config.
 * ``grad-error`` — the gradient-estimate-quality experiment; histogram CSV.
-* ``selftest``   — run the numerical oracle suite and report pass/fail.
+* ``selftest``   — print the checks of ``selbp.oracles.selftest``, one
+                   ``[ok]``/``[FAIL]`` line each; exit 1 on a failure.
 * ``synth-data`` — materialize a synthetic dataset as CSV.
 
 Consumers are scripts and plotting tools; everything is emitted as tidy CSV.
@@ -22,9 +23,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import astuple
 from functools import partial
 
-import numpy as np
-
-from . import evalgrad, oracles
+from . import evalgrad
 from .config import dump_config, load_config
 from .data import build_dataset, write_dataset_csv
 from .errors import SelbpError, TrainingDiverged
@@ -140,25 +139,13 @@ def cmd_grad_error(spec):
     return 0
 
 
-def _selftest_checks():
-    rng = np.random.default_rng(12345)
-    return [
-        ("gram implicit vs explicit", lambda: oracles.gram_identity(rng, 20)),
-        ("gram-OMP vs dense oracle", lambda: oracles.omp_oracle(rng, 20)),
-        ("full-gradient finite differences",
-         lambda: oracles.gradient_check(Mlp.init([2, 16, 3], seed=7), rng, 1)),
-        ("last-layer proxy identity", lambda: oracles.proxy_identity(rng, 1)),
-    ]
-
-
 def cmd_selftest():
-    ok = True
-    for name, check in _selftest_checks():
-        passed, detail = check()
-        status = "ok" if passed else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        ok = ok and passed
-    return 0 if ok else 1
+    from . import oracles  # loaded here alone: no run needs the references
+
+    results = oracles.selftest()
+    for name, passed, detail in results:
+        print(f"[{'ok' if passed else 'FAIL'}] {name}: {detail}")
+    return 0 if all(passed for _, passed, _ in results) else 1
 
 
 def cmd_synth_data(spec):

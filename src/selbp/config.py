@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .data import DatasetDescriptor
-from .errors import ParseError, UnknownKey
+from .errors import ParseError
 from .model import ACTIVATIONS
 from .selection import STRATEGY_KINDS, StrategyConfig
 from .trainer import TrainConfig
@@ -152,7 +152,7 @@ def parse_config_text(text):
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KNOWN_KEYS:
-            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = (lineno, value)
@@ -198,7 +198,7 @@ def load_config(path):
     """Load an ExperimentSpec from a flat key=value file.
 
     Raises :class:`ParseError` with line diagnostics on malformed input and
-    :class:`UnknownKey` on keys outside the schema.
+    on keys outside the schema.
     """
     with open(path) as fh:
         return parse_config_text(fh.read())

@@ -1,16 +1,12 @@
 """Dataset ingestion and synthesis: CSV files, Gaussian blobs, two moons."""
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LabelOutOfRange,
-    MalformedRow,
-    NonNumericFeature,
-)
+from .errors import DimensionMismatch, MalformedRow
 
 DATASET_KINDS = ("csv", "blobs", "two_moons")
 
@@ -121,7 +117,8 @@ def synth_two_moons(desc):
 
 
 def ingest_csv(desc):
-    """Load a labeled CSV: numeric features, non-negative integer labels.
+    """Load a labeled CSV: finite numeric features, non-negative integer
+    labels; anything else is a :class:`MalformedRow` naming its line.
 
     Features are standardized per column using train-split statistics only;
     constant columns map to all-zero (variance guard 1e-12). The train/test
@@ -137,6 +134,8 @@ def ingest_csv(desc):
             missing = [c for c in desc.feature_cols if c not in header]
             if missing:
                 raise MalformedRow(f"feature columns not in header: {missing}")
+            if desc.label_col in desc.feature_cols:
+                raise MalformedRow(f"feature columns name the label column {desc.label_col!r}")
             feat_idx = [header.index(c) for c in desc.feature_cols]
         else:
             feat_idx = [i for i in range(len(header)) if i != label_idx]
@@ -150,15 +149,18 @@ def ingest_csv(desc):
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(row[i]) for i in feat_idx])
-            except ValueError as exc:
-                raise NonNumericFeature(f"line {lineno}: {exc}") from exc
-            try:
+                feats = [float(row[i]) for i in feat_idx]
                 lab = int(row[label_idx])
             except ValueError as exc:
-                raise LabelOutOfRange(f"line {lineno}: {exc}") from exc
+                raise MalformedRow(f"line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, feats)):
+                bad = next(i for i, v in zip(feat_idx, feats) if not math.isfinite(v))
+                raise MalformedRow(
+                    f"line {lineno}: non-finite feature {header[bad]!r} = {row[bad]!r}"
+                )
             if lab < 0:
-                raise LabelOutOfRange(f"line {lineno}: negative label {lab}")
+                raise MalformedRow(f"line {lineno}: negative label {lab}")
+            rows.append(feats)
             labels.append(lab)
     if not rows:
         raise DimensionMismatch("the CSV has no data rows")

@@ -26,20 +26,11 @@ class TrainingDiverged(SelbpError):
 
 
 class ParseError(SelbpError):
-    """A configuration file could not be parsed."""
-
-
-class UnknownKey(SelbpError):
-    """A configuration file contains a key outside the documented schema."""
+    """A configuration file could not be parsed, or names a key outside the
+    documented schema."""
 
 
 class MalformedRow(SelbpError):
-    """A CSV row has the wrong number of fields."""
-
-
-class NonNumericFeature(SelbpError):
-    """A CSV feature cell is not a number."""
-
-
-class LabelOutOfRange(SelbpError):
-    """A CSV label is not a non-negative integer."""
+    """A CSV dataset cannot be read: a column missing from its header, a row
+    with the wrong number of fields, a feature that is not a finite number, or
+    a label that is not a non-negative integer."""

@@ -47,11 +47,11 @@ def full_dataset_gradient(model, X, y):
 def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0):
     """Sample minibatches, subsample each with every strategy, record errors.
 
-    ``strategies`` maps a name to a StrategyConfig (or to None for the
-    pseudo-strategy "full", which keeps the whole forward batch). Each
-    selection is the trainer's :func:`select_subset`, with ``m = M`` for
-    "full"; each strategy keeps its own :func:`loss_history`. Returns one
-    GradErrorSample per (strategy, batch).
+    ``strategies`` maps a name to a StrategyConfig, or to None for a
+    pseudo-strategy that keeps the whole forward batch (by convention named
+    "full"). Each selection is the trainer's :func:`select_subset`, with
+    ``m = M`` for a None entry; each strategy keeps its own
+    :func:`loss_history`. Returns one GradErrorSample per (strategy, batch).
     """
     N = X.shape[0]
     if not m <= M <= N:
@@ -70,7 +70,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
         Xb, yb = X[idx], y[idx]
         tape = forward_tape(model, Xb, yb)
         for name in names:
-            size = M if name == "full" else m
+            size = M if strategies[name] is None else m
             sel = select_subset(strategies[name], tape, size, buffers[name], strat_rngs[name])
             est = weighted_backward(model, Xb, yb, sel, tape=tape)
             np.subtract(est, g_full, out=diff)

@@ -3,7 +3,9 @@ checks that compare the package with them. The references: the last-layer
 gradients that ``gram_implicit`` never forms and their Gram, textbook OMP on
 explicit vectors, and the matching objective. The checks, shared by ``selbp
 selftest`` and the test suite, compare a routine with an oracle on random
-instances from the caller's generator and return (passed, detail).
+instances from the caller's generator and return (passed, detail);
+:func:`selftest` is the table of them that ``selbp selftest`` prints. Only
+that command and the tests load this module: no run needs it.
 """
 
 import numpy as np
@@ -182,3 +184,16 @@ def gradient_check(model, rng, trials):
     model.set_params(theta0)
     ok = fd_err <= 1e-6 and mean_err <= 1e-12
     return ok, f"fd rel err {fd_err:.2e}, mean rel err {mean_err:.2e}"
+
+
+def selftest():
+    """The checks ``selbp selftest`` runs, in order, on one generator seeded
+    12345; returns (name, passed, detail) for each."""
+    rng = np.random.default_rng(12345)
+    return [
+        ("gram implicit vs explicit", *gram_identity(rng, 20)),
+        ("gram-OMP vs dense oracle", *omp_oracle(rng, 20)),
+        ("full-gradient finite differences",
+         *gradient_check(Mlp.init([2, 16, 3], seed=7), rng, 1)),
+        ("last-layer proxy identity", *proxy_identity(rng, 1)),
+    ]

@@ -14,7 +14,7 @@ from selbp.config import (
     load_config,
     parse_config_text,
 )
-from selbp.errors import ParseError, UnknownKey
+from selbp.errors import ParseError
 from selbp.selection import StrategyConfig
 
 MINIMAL = "dataset.kind = blobs\nstrategy.kinds = random\n"
@@ -35,12 +35,12 @@ def test_empty_config_lists_required_keys():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(UnknownKey, match="solver.magic"):
+    with pytest.raises(ParseError, match="solver.magic"):
         parse_config_text(MINIMAL + "solver.magic = adam\n")
     # Removed keys: weights are always clipped to be non-negative, plain SGD
     # is train.momentum = 0, and grad_match never pads its subset.
     for key in ("strategy.clip_negative", "train.optimizer", "strategy.pad_to_m"):
-        with pytest.raises(UnknownKey, match=key):
+        with pytest.raises(ParseError, match=key):
             parse_config_text(MINIMAL + f"{key} = false\n")
 
 

@@ -9,12 +9,7 @@ from selbp.data import (
     synth_two_moons,
     write_dataset_csv,
 )
-from selbp.errors import (
-    DimensionMismatch,
-    LabelOutOfRange,
-    MalformedRow,
-    NonNumericFeature,
-)
+from selbp.errors import DimensionMismatch, MalformedRow
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -76,14 +71,30 @@ def test_csv_malformed_row_reports_line(tmp_path):
 def test_csv_non_numeric_feature(tmp_path):
     text = "a,label\n1,0\noops,1\n"
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
-    with pytest.raises(NonNumericFeature, match="line 3"):
+    with pytest.raises(MalformedRow, match="line 3"):
         ingest_csv(desc)
 
 
 def test_csv_negative_label(tmp_path):
     text = "a,label\n1,0\n2,-1\n"
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
-    with pytest.raises(LabelOutOfRange, match="line 3"):
+    with pytest.raises(MalformedRow, match="line 3"):
+        ingest_csv(desc)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature(tmp_path, value):
+    # float() reads all three; standardizing would turn the column into NaN.
+    text = f"a,b,label\n1,2,0\n3,{value},1\n5,6,0\n7,8,1\n"
+    desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
+    with pytest.raises(MalformedRow, match=f"line 3: non-finite feature 'b' = '{value}'"):
+        ingest_csv(desc)
+
+
+def test_csv_feature_cols_naming_the_label_rejected(tmp_path):
+    desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, TOY), split=0.5,
+                             feature_cols=("a", "label"))
+    with pytest.raises(MalformedRow, match="name the label column 'label'"):
         ingest_csv(desc)
 
 

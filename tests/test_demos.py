@@ -62,7 +62,7 @@ def test_selftest_runs_without_pytest(tmp_path):
     assert run_python(["-c", probe], tmp_path).strip() == "[]"
 
 
-@pytest.mark.parametrize("module", ["selbp", "selbp.trainer"])
+@pytest.mark.parametrize("module", ["selbp", "selbp.trainer", "selbp.cli"])
 def test_a_run_does_not_load_the_oracles(module, tmp_path):
     probe = f"import sys, {module}; print('selbp.oracles' in sys.modules)"
     assert run_python(["-c", probe], tmp_path).strip() == "False"

@@ -92,6 +92,18 @@ def test_identity_subset_equals_plain_minibatch_error():
         assert by[name] == by["full"], name
 
 
+def test_a_none_entry_under_any_name_keeps_the_whole_batch():
+    # The reference is keyed by its None value, not by the name "full".
+    model, X, y = toy_problem(N=128)
+    full = gradient_error_experiment(model, X, y, {"full": None}, num_batches=4,
+                                     M=32, m=8, seed=7)
+    whole = gradient_error_experiment(model, X, y, {"whole": None}, num_batches=4,
+                                      M=32, m=8, seed=7)
+    assert [(s.batch_index, s.squared_error) for s in whole] == \
+        [(s.batch_index, s.squared_error) for s in full]
+    assert {s.strategy for s in whole} == {"whole"}
+
+
 @pytest.mark.parametrize("batch_mode,base_batch", [("fixed", 64), ("scaled", 16)])
 def test_loss_history_holds_eight_forward_batches(monkeypatch, batch_mode, base_batch):
     # Training and the experiment both rank losses against the latest 8 * M,
