@@ -10,8 +10,9 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .data import DatasetDescriptor
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 from .model import ACTIVATIONS
+from .omp import check_subset_size
 from .selection import STRATEGY_KINDS, StrategyConfig
 from .trainer import TrainConfig
 
@@ -63,9 +64,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        if not 1 <= self.eval_subset <= self.eval_batch:
-            raise ValueError(f"need 1 <= eval_subset <= eval_batch "
-                             f"(got {self.eval_subset} and {self.eval_batch})")
+        try:
+            check_subset_size(self.eval_subset, self.eval_batch)
+        except DimensionMismatch as exc:  # a ValueError names its key's line
+            raise ValueError(f"eval_subset of eval_batch rows: {exc}") from exc
         if self.eval_num_batches < 1:
             raise ValueError(f"eval_num_batches must be >= 1, got {self.eval_num_batches}")
 

@@ -170,11 +170,16 @@ def ingest_csv(desc):
     num_classes = int(y.max()) + 1
     ds = _split(X, y, num_classes, desc.split, desc.split_seed)
 
-    mean = ds.X_train.mean(axis=0)
-    std = ds.X_train.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    ds.X_train = (ds.X_train - mean) / std
-    ds.X_test = (ds.X_test - mean) / std
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        mean = ds.X_train.mean(axis=0)
+        std = ds.X_train.std(axis=0)
+        std = np.where(std < 1e-12, 1.0, std)
+        ds.X_train = (ds.X_train - mean) / std
+        ds.X_test = (ds.X_test - mean) / std
+    finite = np.isfinite(std) & np.isfinite(ds.X_train).all(0) & np.isfinite(ds.X_test).all(0)
+    if not finite.all():
+        bad = header[feat_idx[int(finite.argmin())]]
+        raise MalformedRow(f"feature column {bad!r} overflows when standardized")
     return ds
 
 

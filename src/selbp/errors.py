@@ -6,15 +6,11 @@ class SelbpError(Exception):
 
 
 class DimensionMismatch(SelbpError):
-    """Array shapes do not agree with what an operation requires."""
+    """A size, shape or fraction out of range or at odds with what an operation needs."""
 
 
 class EmptySelection(SelbpError):
     """No atom had a positive correlation with the target; nothing to select."""
-
-
-class BadFraction(SelbpError):
-    """A subset size or subsampling fraction is out of its valid range."""
 
 
 class TrainingDiverged(SelbpError):

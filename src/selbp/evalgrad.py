@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import CHUNK_ROWS, forward_tape, weighted_backward
-from .omp import Selection
+from .omp import Selection, check_subset_size
 from .selection import loss_history
 from .trainer import select_subset
 
@@ -29,12 +29,10 @@ GRAD_ERROR_FIELDS = [f.name for f in fields(GradErrorSample)]
 
 
 def full_dataset_gradient(model, X, y):
-    """Exact mean gradient over the whole set, streamed ``CHUNK_ROWS`` rows at
-    a time. Raises ``ValueError`` when a chunk's activations or losses are not
-    finite."""
+    """Exact mean gradient over the whole (non-empty) set, streamed
+    ``CHUNK_ROWS`` rows at a time. Raises ``ValueError`` when a chunk's
+    activations or losses are not finite."""
     N = X.shape[0]
-    if N == 0:
-        raise DimensionMismatch("dataset must be non-empty")
     total = np.zeros(model.n_params)
     for start in range(0, N, CHUNK_ROWS):
         Xc, yc = X[start : start + CHUNK_ROWS], y[start : start + CHUNK_ROWS]
@@ -53,9 +51,10 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     ``m = M`` for a None entry; each strategy keeps its own
     :func:`loss_history`. Returns one GradErrorSample per (strategy, batch).
     """
+    check_subset_size(m, M)
     N = X.shape[0]
-    if not m <= M <= N:
-        raise DimensionMismatch(f"need m <= M <= N, got m={m}, M={M}, N={N}")
+    if M > N:
+        raise DimensionMismatch(f"forward batch M={M} exceeds the N={N} rows")
     g_full = full_dataset_gradient(model, X, y)
 
     batch_rng = np.random.default_rng([seed, 0])

@@ -54,6 +54,14 @@ class Selection:
         return self.indices.shape[0]
 
 
+def check_subset_size(m, M):
+    """The one check that a subset of ``m`` rows fits a forward batch of ``M``."""
+    if m < 1:
+        raise DimensionMismatch("subset size m must be >= 1")
+    if m > M:
+        raise DimensionMismatch(f"m {m} exceeds batch size {M}")
+
+
 @dataclass(frozen=True)
 class OmpConfig:
     max_atoms: int
@@ -93,8 +101,7 @@ def batch_omp_factor(K, t, cfg):
     if K.shape != (M, M):
         raise DimensionMismatch(f"K has shape {K.shape}, expected ({M}, {M})")
     m = cfg.max_atoms
-    if m > M:
-        raise DimensionMismatch(f"max_atoms {m} exceeds batch size {M}")
+    check_subset_size(m, M)
 
     Qt = np.empty((m, M))  # Q transposed: atom n writes its contiguous row n
     z = np.empty(m)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadFraction, DimensionMismatch, EmptySelection
-from .omp import OmpConfig, Selection, omp_gram
+from .errors import DimensionMismatch, EmptySelection
+from .omp import OmpConfig, Selection, check_subset_size, omp_gram
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +36,7 @@ class StrategyConfig:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if not 0 < self.fraction <= 1:
-            raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
+            raise DimensionMismatch(f"fraction must be in (0, 1], got {self.fraction}")
         if self.cdf_source not in CDF_SOURCES:
             raise ValueError(f"unknown cdf_source {self.cdf_source!r}")
 
@@ -71,20 +71,16 @@ def gram_implicit(tape):
 
 def select_random(M, m, rng):
     """m distinct indices uniform without replacement, unit weights."""
-    if m < 1:
-        raise BadFraction("subset size m must be >= 1")
-    if m > M:
-        raise DimensionMismatch(f"m {m} exceeds batch size {M}")
+    check_subset_size(m, M)
     idx = np.sort(rng.choice(M, size=m, replace=False))
     return Selection(idx, np.ones(m))
 
 
 def empirical_cdf(losses, reference):
-    """CDF(l) = |{r in reference : r <= l}| / |reference|, in (0, 1] on members."""
+    """CDF(l) = |{r in reference : r <= l}| / |reference|, in (0, 1] on members;
+    ``reference`` must be non-empty."""
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     reference = np.asarray(reference, dtype=np.float64).reshape(-1)
-    if reference.shape[0] == 0:
-        raise DimensionMismatch("reference must be non-empty")
     ref_sorted = np.sort(reference)
     counts = np.searchsorted(ref_sorted, losses, side="right")
     return counts / reference.shape[0]
@@ -100,14 +96,12 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     losses are appended afterward, evicting the oldest. While the buffer is
     empty, or when no loss has a positive keep probability against it (a batch
     wholly below it), the batch is ranked within itself, so its largest loss
-    has keep probability 1.
+    has keep probability 1. Rows of keep probability zero (key inf) fill what
+    the others leave of the m in order of their Exp(1) draws, uniformly at random.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]
-    if m < 1:
-        raise BadFraction("subset size m must be >= 1")
-    if m > M:
-        raise DimensionMismatch(f"m {m} exceeds batch size {M}")
+    check_subset_size(m, M)
     if not np.isfinite(losses).all():
         raise ValueError("losses contain non-finite entries")
 
@@ -117,9 +111,9 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     if p is None or not p.any():
         p = empirical_cdf(losses, losses) ** beta
 
-    with np.errstate(divide="ignore"):
-        keys = rng.exponential(size=M) / p
-    idx = np.sort(np.argpartition(keys, m - 1)[:m])
+    draws = rng.exponential(size=M)
+    with np.errstate(divide="ignore"):  # p = 0 gives the key inf
+        idx = np.sort(np.lexsort((draws, draws / p))[:m])
 
     if use_buffer:
         buffer.extend(losses)
@@ -139,10 +133,7 @@ def select_grad_match(K, m, rng):
     if K.ndim != 2:
         raise DimensionMismatch(f"K must be a square matrix, got shape {K.shape}")
     M = K.shape[0]
-    if m < 1:
-        raise BadFraction("subset size m must be >= 1")
-    if m > M:
-        raise DimensionMismatch(f"m {m} exceeds batch size {M}")
+    check_subset_size(m, M)
 
     try:
         raw = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=m))

@@ -12,9 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BadFraction, TrainingDiverged
+from .errors import DimensionMismatch, TrainingDiverged
 from .model import accuracy, forward_tape, weighted_backward
-from .omp import Selection
+from .omp import Selection, check_subset_size
 from .selection import (gram_implicit, loss_history, select_grad_match,
                         select_loss_based, select_random)
 
@@ -46,7 +46,7 @@ class TrainConfig:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.fraction <= 1:
-            raise BadFraction(f"fraction must be in (0, 1], got {self.fraction}")
+            raise DimensionMismatch(f"fraction must be in (0, 1], got {self.fraction}")
         if self.batch_mode not in BATCH_MODES:
             raise ValueError(f"unknown batch_mode {self.batch_mode!r}")
         if self.schedule not in SCHEDULES:
@@ -98,7 +98,7 @@ def resolve_batch_sizes(cfg):
     if cfg.batch_mode == "scaled":
         return round(cfg.base_batch / cfg.fraction), cfg.base_batch
     if round(cfg.fraction * cfg.base_batch) < 1:
-        raise BadFraction(
+        raise DimensionMismatch(
             f"fraction {cfg.fraction} yields an empty subset for batch {cfg.base_batch}"
         )
     return cfg.base_batch, subset_size(cfg.fraction, cfg.base_batch)
@@ -106,8 +106,7 @@ def resolve_batch_sizes(cfg):
 
 def cost_units(M, m):
     """Abstract cost of one selective step: forward M at 1/3 each, then m full."""
-    if m > M:
-        raise BadFraction(f"m {m} exceeds M {M}")
+    check_subset_size(m, M)
     return M / 3 + m
 
 
@@ -186,14 +185,15 @@ def run_training(cfg, strategy, dataset, model):
 
     Raises :class:`TrainingDiverged` (carrying the records so far plus a
     diagnostic row) when a non-finite loss or test logit appears, and
-    :class:`BadFraction` when scaled mode's forward batch exceeds the training set.
+    :class:`DimensionMismatch` when scaled mode's forward batch exceeds the
+    training set.
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
     N = X.shape[0]
     M, _ = resolve_batch_sizes(cfg)
     if cfg.batch_mode == "scaled" and M > N:
-        raise BadFraction(
+        raise DimensionMismatch(
             f"scaled mode's forward batch M={M} exceeds the N={N} training rows"
         )
     if cfg.label_noise > 0:

@@ -91,6 +91,19 @@ def test_csv_non_finite_feature(tmp_path, value):
         ingest_csv(desc)
 
 
+@pytest.mark.parametrize("values", [
+    ["1e308", "1.2e308", "1.3e308", "1.5e308", "1.6e308", "1.7e308"],  # the mean overflows
+    ["1e200", "-1e200", "1e200", "-1e200", "1e200", "-1e200"],  # the std overflows
+])
+def test_csv_column_overflowing_standardization_rejected(tmp_path, values):
+    # Every value is finite, but the train-split statistics are not: the
+    # column would come out all NaN, or silently all zero.
+    rows = "".join(f"{i},{v},{i % 2}\n" for i, v in enumerate(values))
+    path = write_csv(tmp_path, "a,x0,label\n" + rows)
+    with pytest.raises(MalformedRow, match="feature column 'x0' overflows"):
+        ingest_csv(DatasetDescriptor(kind="csv", path=path, split=0.5))
+
+
 def test_csv_feature_cols_naming_the_label_rejected(tmp_path):
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, TOY), split=0.5,
                              feature_cols=("a", "label"))

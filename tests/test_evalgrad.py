@@ -1,5 +1,6 @@
 import csv
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ import selbp.evalgrad
 import selbp.trainer
 from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
+from selbp.errors import DimensionMismatch
 from selbp.evalgrad import (
     GRAD_ERROR_FIELDS,
     full_dataset_gradient,
     gradient_error_experiment,
 )
 from selbp.model import Mlp, per_example_grads
-from selbp.selection import StrategyConfig
-from selbp.trainer import TrainConfig, run_training
+from selbp.omp import batch_omp_factor
+from selbp.selection import (StrategyConfig, select_grad_match, select_loss_based,
+                             select_random)
+from selbp.trainer import TrainConfig, cost_units, run_training
 
 
 def toy_problem(seed=0, N=64, d=3, classes=3, hidden=8):
@@ -172,3 +176,45 @@ def test_experiment_deterministic():
     a = gradient_error_experiment(model, X, y, all_strategies(), 5, 32, 8, seed=5)
     b = gradient_error_experiment(model, X, y, all_strategies(), 5, 32, 8, seed=5)
     assert [s.squared_error for s in a] == [s.squared_error for s in b]
+
+
+# Every function that takes a subset of m rows out of a forward batch of M,
+# called as (M, m); all of them defer to omp.check_subset_size.
+SUBSET_SIZE_SITES = {
+    "select_random": lambda M, m: select_random(M, m, np.random.default_rng(0)),
+    "select_loss_based": lambda M, m: select_loss_based(
+        np.arange(M, dtype=float), m, StrategyConfig(kind="loss_based"), None,
+        np.random.default_rng(0)),
+    "select_grad_match": lambda M, m: select_grad_match(np.eye(M), m, np.random.default_rng(0)),
+    # OmpConfig rejects max_atoms < 1 on its own, so a bare object carries m = 0 in.
+    "batch_omp_factor": lambda M, m: batch_omp_factor(np.eye(M), np.ones(M),
+                                                      SimpleNamespace(max_atoms=m)),
+    "cost_units": cost_units,
+    "gradient_error_experiment": lambda M, m: gradient_error_experiment(
+        *toy_problem(N=2 * M), {"full": None}, 1, M, m),
+}
+
+
+@pytest.mark.parametrize("site", SUBSET_SIZE_SITES)
+@pytest.mark.parametrize("m,message", [(0, "subset size m must be >= 1"),
+                                       (5, "m 5 exceeds batch size 4")],
+                         ids=["m=0", "m=M+1"])
+def test_every_subset_size_site_rejects_m_outside_one_to_M(site, m, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        SUBSET_SIZE_SITES[site](4, m)
+
+
+def test_experiment_checks_the_subset_size_before_the_full_gradient(monkeypatch):
+    def full_pass(*args):
+        raise AssertionError("the full-dataset pass ran before the size check")
+
+    monkeypatch.setattr(selbp.evalgrad, "full_dataset_gradient", full_pass)
+    model, X, y = toy_problem(N=64)
+    with pytest.raises(DimensionMismatch, match="must be >= 1"):
+        gradient_error_experiment(model, X, y, all_strategies(), 1, 32, 0)
+
+
+def test_experiment_rejects_a_forward_batch_beyond_the_data():
+    model, X, y = toy_problem(N=16)
+    with pytest.raises(DimensionMismatch, match="M=32 exceeds the N=16 rows"):
+        gradient_error_experiment(model, X, y, all_strategies(), 1, 32, 8)

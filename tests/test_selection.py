@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import selbp.selection
-from selbp.errors import BadFraction, DimensionMismatch
+from selbp.errors import DimensionMismatch
 from selbp.model import BatchTape, Mlp, forward_tape, weighted_backward
 from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
@@ -61,7 +61,7 @@ def test_random_deterministic_given_seed():
 
 
 def test_random_rejects_empty_subset():
-    with pytest.raises(BadFraction):
+    with pytest.raises(DimensionMismatch):
         select_random(4, 0, np.random.default_rng(0))
 
 
@@ -195,6 +195,21 @@ def test_loss_based_batch_below_the_buffer_ranks_within_itself():
     assert sel.size == 1
     np.testing.assert_array_equal(sel.indices, within.indices)
     np.testing.assert_array_equal(np.array(buffer), [5.0, 6.0, 7.0, 8.0, *losses])
+
+
+def test_loss_based_fills_zero_probability_rows_by_their_draws():
+    # Only rows 3 and 11 have a positive keep probability against the buffer;
+    # the other two of m = 4 are the zero-probability rows with the smallest
+    # Exp(1) draws, so they are uniform at random and not numpy's partition order.
+    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
+    losses = np.linspace(0.1, 1.6, 16)
+    losses[[3, 11]] = [6.0, 7.0]
+    buffer = deque([5.0, 8.0], maxlen=128)
+    sel = select_loss_based(losses, 4, cfg, buffer, np.random.default_rng(13))
+    draws = np.random.default_rng(13).exponential(size=16)
+    zero = np.setdiff1d(np.arange(16), [3, 11])
+    fill = zero[np.argsort(draws[zero])[:2]]
+    np.testing.assert_array_equal(sel.indices, np.sort([3, 11, *fill]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -358,7 +373,7 @@ def test_grad_match_weights_on_a_real_gram_property(activation, seed, sizes):
 def test_strategy_config_validation():
     with pytest.raises(ValueError):
         StrategyConfig(kind="magic")
-    with pytest.raises(BadFraction):
+    with pytest.raises(DimensionMismatch):
         StrategyConfig(kind="random", fraction=0.0)
     with pytest.raises(ValueError):
         StrategyConfig(kind="loss_based", cdf_source="global")

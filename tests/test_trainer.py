@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import selbp.trainer
 from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
-from selbp.errors import BadFraction, TrainingDiverged
+from selbp.errors import DimensionMismatch, TrainingDiverged
 from selbp.model import Mlp
 from selbp.selection import StrategyConfig
 from selbp.trainer import (
@@ -56,14 +56,14 @@ def test_scaled_mode_rejects_a_forward_batch_beyond_the_training_set():
     ds = small_blobs(n=300)  # 240 training rows
     cfg = TrainConfig(base_batch=64, fraction=0.1, batch_mode="scaled", epochs=1)
     assert resolve_batch_sizes(cfg) == (640, 64)
-    with pytest.raises(BadFraction, match="M=640.*N=240"):
+    with pytest.raises(DimensionMismatch, match="M=640.*N=240"):
         run_training(cfg, StrategyConfig(kind="random", fraction=0.1), ds,
                      Mlp.init([2, 8, 3], seed=1))
 
 
 def test_tiny_fraction_rejected():
     cfg = TrainConfig(base_batch=4, fraction=0.01, batch_mode="fixed")
-    with pytest.raises(BadFraction):
+    with pytest.raises(DimensionMismatch):
         resolve_batch_sizes(cfg)
 
 
@@ -84,7 +84,7 @@ def test_nominal_subset_is_the_rounding_rule_on_the_forward_batch(batch_mode, ba
     # So one rule, subset_size(fraction, rows), cuts full and partial batches alike.
     cfg = TrainConfig(base_batch=base_batch, fraction=fraction, batch_mode=batch_mode)
     if batch_mode == "fixed" and round(fraction * base_batch) < 1:
-        with pytest.raises(BadFraction):
+        with pytest.raises(DimensionMismatch):
             resolve_batch_sizes(cfg)
         return
     M, m = resolve_batch_sizes(cfg)
@@ -361,7 +361,7 @@ def test_metrics_csv_schema_and_roundtrip(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(BadFraction):
+    with pytest.raises(DimensionMismatch):
         TrainConfig(fraction=0.0)
     with pytest.raises(ValueError):
         TrainConfig(milestones=(10, 10))
