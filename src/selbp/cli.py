@@ -25,7 +25,7 @@ from functools import partial
 
 from . import evalgrad
 from .config import dump_config, load_config
-from .data import build_dataset, write_dataset_csv
+from .data import build_dataset
 from .errors import SelbpError, TrainingDiverged
 from .model import Mlp
 from .trainer import METRICS_FIELDS, run_training
@@ -151,7 +151,12 @@ def cmd_selftest():
 def cmd_synth_data(spec):
     os.makedirs(spec.out_dir, exist_ok=True)
     path = os.path.join(spec.out_dir, f"{spec.dataset.kind}.csv")
-    write_dataset_csv(spec.dataset, path)
+    ds = build_dataset(spec.dataset)
+    header = [f"x{i}" for i in range(ds.X_train.shape[1])] + ["label"]
+    rows = ([repr(float(v)) for v in x] + [int(label)]
+            for X, y in ((ds.X_train, ds.y_train), (ds.X_test, ds.y_test))
+            for x, label in zip(X, y))
+    write_csv(path, header, rows)
     print(f"wrote {path}")
     return 0
 

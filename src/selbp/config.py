@@ -12,9 +12,8 @@ from dataclasses import dataclass, field, replace
 from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
 from .model import ACTIVATIONS
-from .omp import check_subset_size
-from .selection import STRATEGY_KINDS, StrategyConfig
-from .trainer import TrainConfig
+from .selection import STRATEGY_KINDS, StrategyConfig, check_subset_size
+from .trainer import TrainConfig, resolve_batch_sizes
 
 # Named training presets (momentum, schedule, budget, batch size).
 PRESETS = {
@@ -54,6 +53,11 @@ class ExperimentSpec:
                              f"got {self.strategy_kinds}")
         if not self.fractions or not all(0 < f <= 1 for f in self.fractions):
             raise ValueError(f"fractions must be in (0, 1], got {self.fractions}")
+        try:
+            for f in self.fractions:
+                resolve_batch_sizes(self.train_config(f, 0))
+        except DimensionMismatch as exc:  # a ValueError names the grid.fractions line
+            raise ValueError(f"fractions must each leave a non-empty subset: {exc}") from exc
         if not self.seeds:
             raise ValueError("seeds must not be empty")
         for name in ("strategy_kinds", "fractions", "seeds"):

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,15 +189,3 @@ def build_dataset(desc):
     if desc.kind == "blobs":
         return synth_blobs(desc)
     return synth_two_moons(desc)
-
-
-def write_dataset_csv(desc, path):
-    """Materialize a synthetic dataset (train and test concatenated) as CSV."""
-    ds = build_dataset(desc)
-    X = np.concatenate([ds.X_train, ds.X_test])
-    y = np.concatenate([ds.y_train, ds.y_test])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(X.shape[1])] + ["label"])
-        for xi, yi in zip(X, y):
-            writer.writerow([repr(float(v)) for v in xi] + [int(yi)])

@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import CHUNK_ROWS, forward_tape, weighted_backward
-from .omp import Selection, check_subset_size
-from .selection import loss_history
+from .selection import Selection, check_subset_size, loss_history
 from .trainer import select_subset
 
 

@@ -13,8 +13,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySelection
 from .model import (ACTIVATIONS, BatchTape, Mlp, forward_tape, per_example_grads,
                     weighted_backward)
-from .omp import OmpConfig, Selection, omp_gram
-from .selection import gram_implicit
+from .selection import OmpConfig, Selection, gram_implicit, omp_gram
 
 
 def explicit_gradients(tape):

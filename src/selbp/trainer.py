@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, TrainingDiverged
 from .model import accuracy, forward_tape, weighted_backward
-from .omp import Selection, check_subset_size
-from .selection import (gram_implicit, loss_history, select_grad_match,
-                        select_loss_based, select_random)
+from .selection import (Selection, check_subset_size, gram_implicit, loss_history,
+                        select_grad_match, select_loss_based, select_random)
 
 SCHEDULES = ("constant", "step", "cosine")
 BATCH_MODES = ("fixed", "scaled")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selbp.model import forward_tape, weighted_backward
-from selbp.omp import Selection
+from selbp.selection import Selection
 from selbp.trainer import lr_at, sgd_update
 
 

@@ -89,6 +89,7 @@ def test_value_rejected_by_its_section_reports_line_and_key():
     ("grid.seeds =\n", "grid.seeds"),
     ("strategy.kinds = grad_match, random, grad_match\n", "strategy.kinds"),
     ("grid.fractions = 0.5, 0.50\n", "grid.fractions"),
+    ("grid.fractions = 0.5, 0.001\n", "grid.fractions"),
     ("grid.seeds = 1, 2, 1\n", "grid.seeds"),
     ("model.activation = gelu\n", "model.activation"),
     ("model.hidden = 16, 0\n", "model.hidden"),

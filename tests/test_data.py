@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from selbp.cli import main
 from selbp.data import (
     DatasetDescriptor,
     build_dataset,
     ingest_csv,
     synth_blobs,
     synth_two_moons,
-    write_dataset_csv,
 )
 from selbp.errors import DimensionMismatch, MalformedRow
 
@@ -222,9 +222,10 @@ def test_two_moons_noiseless_on_unit_arcs():
 
 
 def test_write_then_ingest_roundtrip(tmp_path):
-    desc = DatasetDescriptor(kind="blobs", n=120, classes=3, dim=2, seed=2)
+    cfg = write_csv(tmp_path, "dataset.kind = blobs\ndataset.n = 120\ndataset.classes = 3\n"
+                    "dataset.dim = 2\ndataset.seed = 2\nstrategy.kinds = random\n", "exp.cfg")
+    assert main(["synth-data", "--config", cfg, "--out", str(tmp_path)]) == 0
     path = tmp_path / "blobs.csv"
-    write_dataset_csv(desc, path)
     ds = ingest_csv(DatasetDescriptor(kind="csv", path=str(path), split=0.8))
     assert ds.X_train.shape[0] + ds.X_test.shape[0] == 120
     assert ds.num_classes == 3

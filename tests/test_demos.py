@@ -1,7 +1,8 @@
 """Every demo script and the self-check run to completion against the
 package source, from an empty directory, writing no files; a process that
-uses the package loads only what the package needs; and the package exports
-exactly what the README and the demos import from it."""
+uses the package loads only what the package needs; the package exports
+exactly what the README and the demos import from it; and no module imports
+a name it never uses."""
 
 import ast
 import os
@@ -19,6 +20,8 @@ import selbp.trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# __init__.py imports names to re-export them, not to use them.
+MODULES = sorted(p for p in (ROOT / "src" / "selbp").glob("*.py") if p.name != "__init__.py")
 
 
 def test_demos_found():
@@ -37,6 +40,16 @@ def test_package_exports_what_the_readme_and_demos_import():
     assert imported == exported
     # The result CSVs are written by selbp.cli alone.
     assert "csv" not in vars(selbp.trainer) and "csv" not in vars(selbp.evalgrad)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(module):
+    tree = ast.parse(module.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"imported but never used: {sorted(imported - used)}"
 
 
 def run_python(args, cwd):
@@ -74,8 +87,7 @@ import numpy as np
 import selbp, selbp.cli
 from selbp.data import DatasetDescriptor, build_dataset
 from selbp.model import Mlp
-from selbp.omp import OmpConfig, omp_gram
-from selbp.selection import StrategyConfig
+from selbp.selection import OmpConfig, StrategyConfig, omp_gram
 from selbp.trainer import TrainConfig, run_training
 
 omp_gram(np.eye(3), np.ones(3), OmpConfig(max_atoms=2))

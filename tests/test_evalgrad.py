@@ -1,6 +1,5 @@
 import csv
 from dataclasses import astuple
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +15,8 @@ from selbp.evalgrad import (
     gradient_error_experiment,
 )
 from selbp.model import Mlp, per_example_grads
-from selbp.omp import batch_omp_factor
-from selbp.selection import (StrategyConfig, select_grad_match, select_loss_based,
-                             select_random)
+from selbp.selection import (OmpConfig, StrategyConfig, batch_omp_factor, select_grad_match,
+                             select_loss_based, select_random)
 from selbp.trainer import TrainConfig, cost_units, run_training
 
 
@@ -186,9 +184,8 @@ SUBSET_SIZE_SITES = {
         np.arange(M, dtype=float), m, StrategyConfig(kind="loss_based"), None,
         np.random.default_rng(0)),
     "select_grad_match": lambda M, m: select_grad_match(np.eye(M), m, np.random.default_rng(0)),
-    # OmpConfig rejects max_atoms < 1 on its own, so a bare object carries m = 0 in.
     "batch_omp_factor": lambda M, m: batch_omp_factor(np.eye(M), np.ones(M),
-                                                      SimpleNamespace(max_atoms=m)),
+                                                      OmpConfig(max_atoms=m)),
     "cost_units": cost_units,
     "gradient_error_experiment": lambda M, m: gradient_error_experiment(
         *toy_problem(N=2 * M), {"full": None}, 1, M, m),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from selbp.errors import EmptySelection
-from selbp.omp import OmpConfig, batch_omp_factor, omp_gram
+from selbp.selection import OmpConfig, batch_omp_factor, omp_gram
 
 
 def take_all(K, t=None, m=None):

@@ -17,7 +17,7 @@ from selbp.model import (
     per_example_grads,
     weighted_backward,
 )
-from selbp.omp import Selection
+from selbp.selection import Selection
 from selbp.oracles import fd_gradient, gradient_check, proxy_error, proxy_identity
 
 

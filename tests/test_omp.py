@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from selbp.errors import DimensionMismatch, EmptySelection
 from selbp.model import BatchTape, Mlp, forward_tape
-from selbp.omp import OmpConfig, Selection, batch_omp_factor, omp_gram
 from selbp.oracles import (
     explicit_gradients,
     gram_explicit,
@@ -13,7 +12,7 @@ from selbp.oracles import (
     omp_oracle,
     residual_norm_sq,
 )
-from selbp.selection import gram_implicit
+from selbp.selection import OmpConfig, Selection, batch_omp_factor, gram_implicit, omp_gram
 
 
 def mean_matching_instance(rng, M, D):
@@ -220,8 +219,8 @@ def test_input_validation():
         omp_gram(np.eye(3), np.ones(2), OmpConfig(max_atoms=1))
     with pytest.raises(DimensionMismatch):
         omp_gram(np.eye(3), np.ones(3), OmpConfig(max_atoms=4))
-    with pytest.raises(ValueError):
-        OmpConfig(max_atoms=0)
+    with pytest.raises(DimensionMismatch, match="must be >= 1"):
+        omp_gram(np.eye(3), np.ones(3), OmpConfig(max_atoms=0))
     with pytest.raises(ValueError):
         Selection([1, 1], [1.0, 1.0])
     with pytest.raises(EmptySelection):

@@ -9,12 +9,14 @@ from scipy import stats
 import selbp.selection
 from selbp.errors import DimensionMismatch
 from selbp.model import BatchTape, Mlp, forward_tape, weighted_backward
-from selbp.omp import OmpConfig, Selection, omp_gram
 from selbp.selection import (
+    OmpConfig,
+    Selection,
     StrategyConfig,
     empirical_cdf,
     gram_implicit,
     loss_history,
+    omp_gram,
     select_grad_match,
     select_loss_based,
     select_random,
