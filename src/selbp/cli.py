@@ -20,13 +20,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 
 from . import evalgrad
 from .config import dump_config, load_config
 from .data import build_dataset
-from .errors import SelbpError, TrainingDiverged
+from .errors import ParseError, SelbpError, TrainingDiverged
 from .model import Mlp
 from .trainer import METRICS_FIELDS, run_training
 
@@ -54,12 +54,12 @@ def _run_cell(args):
     """One grid cell: train a fresh model, write its metrics CSV, return its
     ``SUMMARY_FIELDS`` row. A diverged cell writes the records it has, then raises.
     Top-level so it pickles into worker processes."""
-    spec, kind, fraction, seed, out_dir = args
+    spec, kind, fraction, seed = args
     dataset = build_dataset(spec.dataset)
     model = _build_model(spec, dataset, seed)
     cfg = spec.train_config(fraction, seed)
     strategy = spec.strategy_config(kind, fraction)
-    path = os.path.join(out_dir, f"{kind}_rho{fraction}_seed{seed}.csv")
+    path = os.path.join(spec.out_dir, f"{kind}_rho{fraction}_seed{seed}.csv")
     try:
         records = run_training(cfg, strategy, dataset, model)
     except TrainingDiverged as exc:
@@ -94,7 +94,7 @@ def cmd_train(spec, jobs=1):
     with open(os.path.join(spec.out_dir, "config.cfg"), "w") as fh:
         fh.write(resolved)
     cells = [
-        (spec, kind, fraction, seed, spec.out_dir)
+        (spec, kind, fraction, seed)
         for kind in spec.strategy_kinds
         for fraction in spec.fractions
         for seed in spec.seeds
@@ -110,7 +110,7 @@ def cmd_train(spec, jobs=1):
                 rows.append(result())
             except Exception as exc:  # a failed cell must not lose the grid's summary
                 failures += 1
-                logger.error("cell %s failed: %s", cell[1:4], exc,
+                logger.error("cell %s failed: %s", cell[1:], exc,
                              exc_info=not isinstance(exc, SelbpError))
     write_csv(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_FIELDS, rows)
     return 0 if failures == 0 else 1
@@ -163,11 +163,12 @@ def cmd_synth_data(spec):
 
 def _load_spec(args):
     spec = load_config(args.config)
-    if args.out is not None:
-        spec.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        spec.seeds = (args.seed,)
-    return spec
+    seed = getattr(args, "seed", None)
+    try:  # the spec's own checks, as for the same value in the file
+        return replace(spec, out_dir=spec.out_dir if args.out is None else args.out,
+                       seeds=spec.seeds if seed is None else (seed,))
+    except ValueError as exc:
+        raise ParseError(f"bad command-line value: {exc}") from exc
 
 
 def _jobs(value):

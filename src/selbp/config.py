@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 
 from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
-from .model import ACTIVATIONS
-from .selection import STRATEGY_KINDS, StrategyConfig, check_subset_size
+from .model import Mlp
+from .selection import StrategyConfig, check_subset_size
 from .trainer import TrainConfig, resolve_batch_sizes
 
 # Named training presets (momentum, schedule, budget, batch size).
@@ -48,24 +48,20 @@ class ExperimentSpec:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if not self.strategy_kinds or not set(self.strategy_kinds) <= set(STRATEGY_KINDS):
-            raise ValueError(f"strategy_kinds must be some of {STRATEGY_KINDS}, "
-                             f"got {self.strategy_kinds}")
-        if not self.fractions or not all(0 < f <= 1 for f in self.fractions):
-            raise ValueError(f"fractions must be in (0, 1], got {self.fractions}")
-        try:
-            for f in self.fractions:
-                resolve_batch_sizes(self.train_config(f, 0))
-        except DimensionMismatch as exc:  # a ValueError names the grid.fractions line
-            raise ValueError(f"fractions must each leave a non-empty subset: {exc}") from exc
-        if not self.seeds:
-            raise ValueError("seeds must not be empty")
-        for name in ("strategy_kinds", "fractions", "seeds"):
+        # Each grid value is checked by building what its cell builds.
+        builders = {"strategy_kinds": lambda kind: self.strategy_config(kind, 1.0),
+                    "fractions": lambda f: resolve_batch_sizes(self.train_config(f, 0)),
+                    "seeds": lambda seed: self.train_config(1.0, seed)}
+        for name, build in builders.items():
             values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be non-empty with no repeated value, got {values}")
+            for value in values:
+                try:
+                    build(value)
+                except (ValueError, DimensionMismatch) as exc:  # _build names the list's line
+                    raise ValueError(f"{name} holds {value!r}: {exc}") from exc
+        Mlp(activation=self.activation)  # the model's own activation check
         if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         try:

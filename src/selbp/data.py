@@ -33,6 +33,9 @@ class DatasetDescriptor:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if not 0 < self.split < 1:
             raise ValueError(f"split must be in (0, 1), got {self.split}")
+        for name, low in (("classes", 1), ("dim", 1), ("seed", 0), ("split_seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n < self.classes:
             raise ValueError("n must be at least the number of classes")
         self.feature_cols = tuple(self.feature_cols)

@@ -58,6 +58,14 @@ class TrainConfig:
             raise ValueError(f"lr_factor must be in (0, 10], got {self.lr_factor}")
         if not 0 <= self.label_noise < 1:
             raise ValueError(f"label_noise must be in [0, 1), got {self.label_noise}")
+        if not self.base_lr > 0:
+            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def total_epochs(self):

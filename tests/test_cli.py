@@ -115,6 +115,16 @@ def _blas_probe():
     return [os.environ.get(var) for var in BLAS_THREAD_VARS], threads
 
 
+@pytest.mark.parametrize("command", ["train", "grad-error"])
+def test_a_negative_seed_flag_fails_before_any_output(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    out = tmp_path / "runs"
+    assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "seeds" in err[0]
+    assert not out.exists()
+
+
 def test_jobs_workers_run_one_blas_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

@@ -1,4 +1,6 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +76,13 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("train.schedule = linear\n", "line 3: bad value for 'train.schedule'"),
         ("dataset.n = 2\ndataset.classes = 3\n", "line 3: bad value for 'dataset.n'"),
         ("train.milestones = 5,5\n", "line 3: bad value for 'train.milestones'"),
+        ("dataset.classes = 0\n", "line 3: bad value for 'dataset.classes'"),
+        ("dataset.dim = 0\n", "line 3: bad value for 'dataset.dim'"),
+        ("dataset.seed = -1\n", "line 3: bad value for 'dataset.seed'"),
+        ("dataset.split_seed = -1\n", "line 3: bad value for 'dataset.split_seed'"),
+        ("train.base_lr = 0\n", "line 3: bad value for 'train.base_lr'"),
+        ("train.momentum = 1\n", "line 3: bad value for 'train.momentum'"),
+        ("train.weight_decay = -1e-4\n", "line 3: bad value for 'train.weight_decay'"),
     )
     for text, where in cases:
         with pytest.raises(ParseError) as exc:
@@ -91,6 +100,7 @@ def test_value_rejected_by_its_section_reports_line_and_key():
     ("grid.fractions = 0.5, 0.50\n", "grid.fractions"),
     ("grid.fractions = 0.5, 0.001\n", "grid.fractions"),
     ("grid.seeds = 1, 2, 1\n", "grid.seeds"),
+    ("grid.seeds = 1, -1\n", "grid.seeds"),
     ("model.activation = gelu\n", "model.activation"),
     ("model.hidden = 16, 0\n", "model.hidden"),
     ("eval.subset = 0\n", "eval.subset"),
@@ -106,6 +116,15 @@ def test_grid_level_value_rejected_at_parse_with_its_line(text, key):
     with pytest.raises(ParseError) as exc:
         parse_config_text(text)
     assert str(exc.value).startswith(f"line {text.count(chr(10))}: bad value for {key!r}")
+
+
+def test_readme_config_examples_parse():
+    # The documented example cannot drift from the schema.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        parse_config_text(block)
 
 
 def test_missing_equals_sign():

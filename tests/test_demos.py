@@ -52,6 +52,16 @@ def test_module_uses_every_name_it_imports(module):
     assert imported <= used, f"imported but never used: {sorted(imported - used)}"
 
 
+def test_config_restates_no_rule_of_another_module():
+    # A grid value is checked by building its cell's configs, so config.py
+    # needs no other module's constant tables.
+    tree = ast.parse((ROOT / "src" / "selbp" / "config.py").read_text())
+    constants = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.level or node.module.startswith("selbp"))
+                 for alias in node.names if alias.name.isupper()]
+    assert constants == []
+
+
 def run_python(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
