@@ -12,7 +12,6 @@ import numpy as np
 from selbp import (
     DatasetDescriptor,
     Mlp,
-    StrategyConfig,
     build_dataset,
     forward_tape,
     gram_implicit,
@@ -34,7 +33,7 @@ print("  loss", np.round(tape.losses[order], 3))
 
 rng = np.random.default_rng(0)
 sel_r = select_random(M, m, rng)
-sel_l = select_loss_based(tape.losses, m, StrategyConfig(kind="loss_based"), None, rng)
+sel_l = select_loss_based(tape.losses, m, None, rng)
 sel_g = select_grad_match(gram_implicit(tape), m, rng)
 
 for name, sel in (("random", sel_r), ("loss_based", sel_l), ("grad_match", sel_g)):

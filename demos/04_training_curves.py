@@ -29,6 +29,6 @@ for kind in ("random", "loss_based", "grad_match"):
             schedule="constant", seed=0,
         )
         model = Mlp.init([2, 32, 3], seed=0)
-        records = run_training(cfg, StrategyConfig(kind=kind, fraction=frac), ds, model)
+        records = run_training(cfg, StrategyConfig(kind=kind), ds, model)
         best = max(r.test_accuracy for r in records)
         print(f"{kind:12s} {frac:4.1f} {best:8.3f} {records[-1].cost_units_cum:11.0f}")

@@ -58,7 +58,7 @@ def _run_cell(args):
     dataset = build_dataset(spec.dataset)
     model = _build_model(spec, dataset, seed)
     cfg = spec.train_config(fraction, seed)
-    strategy = spec.strategy_config(kind, fraction)
+    strategy = spec.strategy_config(kind)
     path = os.path.join(spec.out_dir, f"{kind}_rho{fraction}_seed{seed}.csv")
     try:
         records = run_training(cfg, strategy, dataset, model)
@@ -120,10 +120,7 @@ def cmd_grad_error(spec):
     os.makedirs(spec.out_dir, exist_ok=True)
     dataset = build_dataset(spec.dataset)
     model = _build_model(spec, dataset, spec.seeds[0])
-    strategies = {
-        kind: spec.strategy_config(kind, spec.eval_subset / spec.eval_batch)
-        for kind in spec.strategy_kinds
-    }
+    strategies = {kind: spec.strategy_config(kind) for kind in spec.strategy_kinds}
     samples = evalgrad.gradient_error_experiment(
         model,
         dataset.X_train,

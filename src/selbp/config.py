@@ -13,7 +13,7 @@ from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
 from .model import Mlp
 from .selection import StrategyConfig, check_subset_size
-from .trainer import TrainConfig, resolve_batch_sizes
+from .trainer import TrainConfig, forward_batch
 
 # Named training presets (momentum, schedule, budget, batch size).
 PRESETS = {
@@ -49,8 +49,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # Each grid value is checked by building what its cell builds.
-        builders = {"strategy_kinds": lambda kind: self.strategy_config(kind, 1.0),
-                    "fractions": lambda f: resolve_batch_sizes(self.train_config(f, 0)),
+        builders = {"strategy_kinds": self.strategy_config,
+                    "fractions": lambda f: forward_batch(self.train_config(f, 0)),
                     "seeds": lambda seed: self.train_config(1.0, seed)}
         for name, build in builders.items():
             values = getattr(self, name)
@@ -71,8 +71,8 @@ class ExperimentSpec:
         if self.eval_num_batches < 1:
             raise ValueError(f"eval_num_batches must be >= 1, got {self.eval_num_batches}")
 
-    def strategy_config(self, kind, fraction):
-        return replace(self.strategy, kind=kind, fraction=fraction)
+    def strategy_config(self, kind):
+        return replace(self.strategy, kind=kind)
 
     def train_config(self, fraction, seed):
         return replace(self.train, fraction=fraction, seed=seed)
@@ -187,13 +187,14 @@ def parse_config_text(text):
 
 def _build(target, cls, kwargs, pairs):
     """``cls(**kwargs)``; a value its own checks reject is a ParseError that
-    names the line of the key the message mentions."""
+    names the line of the key whose field the message names first."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        at = [f"line {n}: bad value for {k!r}" for k, (n, _) in pairs.items()
-              if KNOWN_KEYS[k][0] == target and KNOWN_KEYS[k][1] in str(exc).split()]
-        raise ParseError(f"{(at or [f'bad {target} settings'])[0]}: {exc}") from exc
+        lines = {KNOWN_KEYS[k][1]: f"line {n}: bad value for {k!r}"
+                 for k, (n, _) in pairs.items() if KNOWN_KEYS[k][0] == target}
+        at = next((lines[w] for w in str(exc).split() if w in lines), f"bad {target} settings")
+        raise ParseError(f"{at}: {exc}") from exc
 
 
 def load_config(path):

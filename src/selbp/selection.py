@@ -82,6 +82,8 @@ def check_subset_size(m, M):
 
 @dataclass
 class StrategyConfig:
+    """Read by ``selbp.trainer.select_subset`` alone; nothing reads ``fraction``."""
+
     kind: str = "random"
     fraction: float = 0.5
     cdf_source: str = "within_batch"
@@ -212,18 +214,18 @@ def empirical_cdf(losses, reference):
     return counts / reference.shape[0]
 
 
-def select_loss_based(losses, m, cfg, buffer, rng):
+def select_loss_based(losses, m, buffer, rng):
     """Keep-probability CDF(l)^beta with beta = M/m, drawn as exactly m indices.
 
     Uses exponential-key weighted sampling without replacement (keys
     Exp(1)/p_i, smallest m win) so every call returns exactly m distinct
-    indices. When ``cfg.cdf_source`` is ``rolling_buffer`` the CDF reference
-    is the contents of ``buffer``, a :func:`loss_history`, and the M fresh
-    losses are appended afterward, evicting the oldest. While the buffer is
-    empty, or when no loss has a positive keep probability against it (a batch
-    wholly below it), the batch is ranked within itself, so its largest loss
-    has keep probability 1. Rows of keep probability zero (key inf) fill what
-    the others leave of the m in order of their Exp(1) draws, uniformly at random.
+    indices. ``buffer`` is a :func:`loss_history` or None. Given one, the CDF
+    reference is its contents, and the M fresh losses are appended afterward,
+    evicting the oldest. With None, while the buffer is empty, or when no loss
+    has a positive keep probability against it (a batch wholly below it), the
+    batch is ranked within itself, so its largest loss has keep probability 1.
+    Rows of keep probability zero (key inf) fill what the others leave of the
+    m in order of their Exp(1) draws, uniformly at random.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]
@@ -232,8 +234,7 @@ def select_loss_based(losses, m, cfg, buffer, rng):
         raise ValueError("losses contain non-finite entries")
 
     beta = M / m
-    use_buffer = cfg.cdf_source == "rolling_buffer" and buffer is not None
-    p = empirical_cdf(losses, np.array(buffer)) ** beta if use_buffer and buffer else None
+    p = empirical_cdf(losses, np.array(buffer)) ** beta if buffer else None
     if p is None or not p.any():
         p = empirical_cdf(losses, losses) ** beta
 
@@ -241,7 +242,7 @@ def select_loss_based(losses, m, cfg, buffer, rng):
     with np.errstate(divide="ignore"):  # p = 0 gives the key inf
         idx = np.sort(np.lexsort((draws, draws / p))[:m])
 
-    if use_buffer:
+    if buffer is not None:
         buffer.extend(losses)
     return Selection(idx, np.ones(m))
 

@@ -95,20 +95,17 @@ def subset_size(fraction, batch):
     return max(1, round(fraction * batch))
 
 
-def resolve_batch_sizes(cfg):
-    """(forward batch M, subset size m) for the configured batch mode.
-
-    Fixed mode keeps the forward batch at base_batch and shrinks the subset;
-    scaled mode inflates the forward batch so the subset stays at base_batch.
-    In both, m == subset_size(fraction, M), the rule every batch is cut by.
-    """
+def forward_batch(cfg):
+    """Forward batch M; ``subset_size(fraction, rows)`` cuts each batch. Fixed
+    mode keeps M at base_batch, rejecting a fraction whose subset rounds to 0
+    rows; scaled mode inflates M so that the subset stays at base_batch."""
     if cfg.batch_mode == "scaled":
-        return round(cfg.base_batch / cfg.fraction), cfg.base_batch
+        return round(cfg.base_batch / cfg.fraction)
     if round(cfg.fraction * cfg.base_batch) < 1:
         raise DimensionMismatch(
             f"fraction {cfg.fraction} yields an empty subset for batch {cfg.base_batch}"
         )
-    return cfg.base_batch, subset_size(cfg.fraction, cfg.base_batch)
+    return cfg.base_batch
 
 
 def cost_units(M, m):
@@ -164,8 +161,10 @@ def sgd_update(theta, velocity, grad, lr, momentum=0.0, nesterov=False):
 
 
 def select_subset(strategy, tape, m, buffer, rng):
-    """The one strategy dispatch: ``m`` rows of the tape's batch chosen by
-    ``strategy``, for training and for the gradient-error experiment alike.
+    """The one strategy dispatch and the one reader of a StrategyConfig: ``m``
+    rows of the tape's batch chosen by ``strategy.kind``, for training and for
+    the gradient-error experiment alike. ``select_loss_based`` gets (and
+    extends) ``buffer`` only when ``cdf_source`` is ``rolling_buffer``.
 
     At ``m >= M`` the step is full-batch: the identity selection, drawing no
     randomness and reading no strategy. The strategy functions are called by
@@ -176,7 +175,8 @@ def select_subset(strategy, tape, m, buffer, rng):
     if strategy.kind == "random":
         return select_random(tape.M, m, rng)
     if strategy.kind == "loss_based":
-        return select_loss_based(tape.losses, m, strategy, buffer, rng)
+        history = buffer if strategy.cdf_source == "rolling_buffer" else None
+        return select_loss_based(tape.losses, m, history, rng)
     return select_grad_match(gram_implicit(tape), m, rng)
 
 
@@ -198,7 +198,7 @@ def run_training(cfg, strategy, dataset, model):
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
     N = X.shape[0]
-    M, _ = resolve_batch_sizes(cfg)
+    M = forward_batch(cfg)
     if cfg.batch_mode == "scaled" and M > N:
         raise DimensionMismatch(
             f"scaled mode's forward batch M={M} exceeds the N={N} training rows"

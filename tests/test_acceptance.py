@@ -88,23 +88,22 @@ def test_criterion_05_gradient_correctness():
 
 
 def test_criterion_06_loss_based_statistics():
-    cfg = StrategyConfig(kind="loss_based")
     rng = np.random.default_rng(106)
     M, m, n = 8, 2, 10_000
 
     losses = np.arange(1.0, 9.0)
     counts = np.zeros(M)
     for _ in range(n):
-        counts[select_loss_based(losses, m, cfg, None, rng).indices] += 1
+        counts[select_loss_based(losses, m, None, rng).indices] += 1
     rho, _ = stats.spearmanr(losses, counts)
 
     equal = np.full(M, 3.0)
     eq_counts = np.zeros(M)
     for _ in range(n):
-        eq_counts[select_loss_based(equal, m, cfg, None, rng).indices] += 1
+        eq_counts[select_loss_based(equal, m, None, rng).indices] += 1
     _, pvalue = stats.chisquare(eq_counts, f_exp=np.full(M, n * m / M))
 
-    sel = select_loss_based(losses, M, cfg, None, rng)
+    sel = select_loss_based(losses, M, None, rng)
     select_all = np.array_equal(np.sort(sel.indices), np.arange(M))
     report(
         6,

@@ -53,10 +53,8 @@ def test_strategy_keys_fill_the_strategy_template():
     )
     assert spec.strategy == StrategyConfig(cdf_source="rolling_buffer")
     assert parse_config_text(dump_config(spec)) == spec
-    sc = spec.strategy_config("loss_based", 0.25)
-    assert sc == StrategyConfig(
-        kind="loss_based", fraction=0.25, cdf_source="rolling_buffer",
-    )
+    sc = spec.strategy_config("loss_based")
+    assert sc == StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
     assert spec.strategy.kind == "random"  # template untouched
 
 
@@ -75,6 +73,8 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("strategy.cdf_source = global\n", "line 3: bad value for 'strategy.cdf_source'"),
         ("train.schedule = linear\n", "line 3: bad value for 'train.schedule'"),
         ("dataset.n = 2\ndataset.classes = 3\n", "line 3: bad value for 'dataset.n'"),
+        ("dataset.classes = 300\ndataset.n = 200\n", "line 4: bad value for 'dataset.n'"),
+        ("eval.batch = 64\neval.subset = 0\n", "line 4: bad value for 'eval.subset'"),
         ("train.milestones = 5,5\n", "line 3: bad value for 'train.milestones'"),
         ("dataset.classes = 0\n", "line 3: bad value for 'dataset.classes'"),
         ("dataset.dim = 0\n", "line 3: bad value for 'dataset.dim'"),
@@ -238,9 +238,8 @@ def test_load_config_file(tmp_path):
 
 def test_derived_configs():
     spec = parse_config_text(MINIMAL + "strategy.cdf_source = rolling_buffer\n")
-    sc = spec.strategy_config("grad_match", 0.25)
-    assert sc.kind == "grad_match" and sc.fraction == 0.25
-    assert sc.cdf_source == "rolling_buffer"
+    sc = spec.strategy_config("grad_match")
+    assert sc == StrategyConfig(kind="grad_match", cdf_source="rolling_buffer")
     tc = spec.train_config(0.25, seed=7)
     assert tc.fraction == 0.25 and tc.seed == 7
     assert spec.train.fraction == 1.0  # base config untouched
@@ -326,7 +325,7 @@ def cell_inputs(spec):
         [W.shape for W, _ in model.layers],
         model.get_params().tolist(),
         spec.train_config(0.5, 5),
-        spec.strategy_config("loss_based", 0.5),
+        spec.strategy_config("loss_based"),
         spec.strategy_kinds, spec.fractions, spec.seeds,
         spec.eval_num_batches, spec.eval_batch, spec.eval_subset, spec.out_dir,
     )

@@ -113,9 +113,9 @@ def test_loss_history_holds_eight_forward_batches(monkeypatch, batch_mode, base_
     select = selbp.trainer.select_loss_based
     maxlens = []
 
-    def spy(losses, m, cfg, buffer, rng):
+    def spy(losses, m, buffer, rng):
         maxlens.append(buffer.maxlen)
-        return select(losses, m, cfg, buffer, rng)
+        return select(losses, m, buffer, rng)
 
     monkeypatch.setattr(selbp.trainer, "select_loss_based", spy)
     strategy = StrategyConfig(kind="loss_based", fraction=0.25, cdf_source="rolling_buffer")
@@ -181,8 +181,7 @@ def test_experiment_deterministic():
 SUBSET_SIZE_SITES = {
     "select_random": lambda M, m: select_random(M, m, np.random.default_rng(0)),
     "select_loss_based": lambda M, m: select_loss_based(
-        np.arange(M, dtype=float), m, StrategyConfig(kind="loss_based"), None,
-        np.random.default_rng(0)),
+        np.arange(M, dtype=float), m, None, np.random.default_rng(0)),
     "select_grad_match": lambda M, m: select_grad_match(np.eye(M), m, np.random.default_rng(0)),
     "batch_omp_factor": lambda M, m: batch_omp_factor(np.eye(M), np.ones(M),
                                                       OmpConfig(max_atoms=m)),

@@ -90,8 +90,7 @@ def test_cdf_ties_share_rank():
 def test_loss_based_full_subset_takes_everything():
     rng = np.random.default_rng(2)
     losses = rng.standard_normal(8) ** 2
-    cfg = StrategyConfig(kind="loss_based")
-    sel = select_loss_based(losses, 8, cfg, None, rng)
+    sel = select_loss_based(losses, 8, None, rng)
     np.testing.assert_array_equal(sel.indices, np.arange(8))
 
 
@@ -101,10 +100,9 @@ def test_loss_based_matches_independent_sampler():
     M, m, n = 64, 16, 10_000
     losses = np.zeros(M)
     losses[-1] = 10.0
-    cfg = StrategyConfig(kind="loss_based")
     rng = np.random.default_rng(3)
     freq = inclusion_freq(
-        [select_loss_based(losses, m, cfg, None, rng) for _ in range(n)], M
+        [select_loss_based(losses, m, None, rng) for _ in range(n)], M
     )
     p = empirical_cdf(losses, losses) ** (M / m)
     oracle = gumbel_top_m_freq(p, m, n, np.random.default_rng(4))
@@ -117,10 +115,9 @@ def test_loss_based_matches_independent_sampler():
 def test_loss_based_monotone_in_loss():
     M, m, n = 8, 2, 10_000
     losses = np.arange(1.0, 9.0)
-    cfg = StrategyConfig(kind="loss_based")
     rng = np.random.default_rng(5)
     freq = inclusion_freq(
-        [select_loss_based(losses, m, cfg, None, rng) for _ in range(n)], M
+        [select_loss_based(losses, m, None, rng) for _ in range(n)], M
     )
     rho, _ = stats.spearmanr(losses, freq)
     assert rho > 0.95
@@ -140,60 +137,54 @@ def test_loss_based_inclusion_monotone_in_loss_property(levels, data, seed):
     losses = np.array(levels, dtype=np.float64)
     M = losses.shape[0]
     m = data.draw(st.integers(1, M), label="m")
-    cfg = StrategyConfig(kind="loss_based")
-    before = select_loss_based(losses, m, cfg, None, np.random.default_rng(seed))
+    before = select_loss_based(losses, m, None, np.random.default_rng(seed))
     row = data.draw(st.sampled_from(before.indices.tolist()), label="row")
     raised = losses.copy()
     raised[row] += data.draw(st.floats(1e-6, 10.0), label="raise")
-    after = select_loss_based(raised, m, cfg, None, np.random.default_rng(seed))
+    after = select_loss_based(raised, m, None, np.random.default_rng(seed))
     assert row in after.indices
 
 
 def test_loss_based_uniform_under_equal_losses():
     M, m, n = 8, 2, 10_000
     losses = np.full(M, 3.0)
-    cfg = StrategyConfig(kind="loss_based")
     rng = np.random.default_rng(6)
     counts = inclusion_freq(
-        [select_loss_based(losses, m, cfg, None, rng) for _ in range(n)], M
+        [select_loss_based(losses, m, None, rng) for _ in range(n)], M
     ) * n
     _, pvalue = stats.chisquare(counts, f_exp=np.full(M, n * m / M))
     assert pvalue > 0.001
 
 
 def test_loss_based_rolling_buffer_fills_and_is_used():
-    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
     buffer = deque(maxlen=16)
     rng = np.random.default_rng(7)
     first = np.array([1.0, 2.0, 3.0, 4.0])
-    select_loss_based(first, 2, cfg, buffer, rng)
+    select_loss_based(first, 2, buffer, rng)
     np.testing.assert_array_equal(np.array(buffer), first)
     # Second batch ranks against the buffered reference, not itself.
     second = np.array([0.5, 10.0, 0.1, 0.2])
     cdf_vs_buffer = empirical_cdf(second, first)
     assert cdf_vs_buffer[1] == 1.0 and cdf_vs_buffer[2] == 0.0
-    select_loss_based(second, 2, cfg, buffer, rng)
+    select_loss_based(second, 2, buffer, rng)
     assert len(buffer) == 8
 
 
 def test_loss_buffer_evicts_fifo():
-    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
     buffer = deque(maxlen=3)
     rng = np.random.default_rng(10)
-    select_loss_based(np.array([1.0, 2.0]), 1, cfg, buffer, rng)
-    select_loss_based(np.array([3.0, 4.0]), 1, cfg, buffer, rng)
+    select_loss_based(np.array([1.0, 2.0]), 1, buffer, rng)
+    select_loss_based(np.array([3.0, 4.0]), 1, buffer, rng)
     np.testing.assert_array_equal(np.array(buffer), [2.0, 3.0, 4.0])
 
 
 def test_loss_based_batch_below_the_buffer_ranks_within_itself():
     # Every loss lies below the whole buffer, so none has a positive keep
     # probability against it: the batch is ranked within itself instead.
-    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
     buffer = deque([5.0, 6.0, 7.0, 8.0], maxlen=32)
     losses = np.array([1.0, 2.0, 3.0, 4.0])
-    sel = select_loss_based(losses, 1, cfg, buffer, np.random.default_rng(11))
-    within = select_loss_based(losses, 1, StrategyConfig(kind="loss_based"), None,
-                               np.random.default_rng(11))
+    sel = select_loss_based(losses, 1, buffer, np.random.default_rng(11))
+    within = select_loss_based(losses, 1, None, np.random.default_rng(11))
     assert sel.size == 1
     np.testing.assert_array_equal(sel.indices, within.indices)
     np.testing.assert_array_equal(np.array(buffer), [5.0, 6.0, 7.0, 8.0, *losses])
@@ -203,11 +194,10 @@ def test_loss_based_fills_zero_probability_rows_by_their_draws():
     # Only rows 3 and 11 have a positive keep probability against the buffer;
     # the other two of m = 4 are the zero-probability rows with the smallest
     # Exp(1) draws, so they are uniform at random and not numpy's partition order.
-    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
     losses = np.linspace(0.1, 1.6, 16)
     losses[[3, 11]] = [6.0, 7.0]
     buffer = deque([5.0, 8.0], maxlen=128)
-    sel = select_loss_based(losses, 4, cfg, buffer, np.random.default_rng(13))
+    sel = select_loss_based(losses, 4, buffer, np.random.default_rng(13))
     draws = np.random.default_rng(13).exponential(size=16)
     zero = np.setdiff1d(np.arange(16), [3, 11])
     fill = zero[np.argsort(draws[zero])[:2]]
@@ -231,23 +221,20 @@ def test_loss_based_rolling_buffer_property(history, batch, below, data, seed):
     buffer = loss_history(M)
     buffer.extend(history)
     expected_buffer = [*buffer, *losses][-8 * M:]
-    cfg = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
-    sel = select_loss_based(losses, m, cfg, buffer, np.random.default_rng(seed))
+    sel = select_loss_based(losses, m, buffer, np.random.default_rng(seed))
     assert sel.size == m and np.unique(sel.indices).size == m
     assert 0 <= sel.indices.min() and sel.indices.max() < M
     np.testing.assert_array_equal(sel.weights, np.ones(m))
     np.testing.assert_array_equal(np.array(buffer), expected_buffer)
     if below and history:
-        within = select_loss_based(losses, m, StrategyConfig(kind="loss_based"), None,
-                                   np.random.default_rng(seed))
+        within = select_loss_based(losses, m, None, np.random.default_rng(seed))
         np.testing.assert_array_equal(sel.indices, within.indices)
 
 
 def test_loss_based_deterministic_given_seed():
     losses = np.array([0.1, 5.0, 2.0, 0.4, 1.0])
-    cfg = StrategyConfig(kind="loss_based")
-    a = select_loss_based(losses, 2, cfg, None, np.random.default_rng(8))
-    b = select_loss_based(losses, 2, cfg, None, np.random.default_rng(8))
+    a = select_loss_based(losses, 2, None, np.random.default_rng(8))
+    b = select_loss_based(losses, 2, None, np.random.default_rng(8))
     np.testing.assert_array_equal(a.indices, b.indices)
 
 

@@ -10,17 +10,18 @@ import selbp.trainer
 from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import DimensionMismatch, TrainingDiverged
-from selbp.model import Mlp
-from selbp.selection import StrategyConfig
+from selbp.model import Mlp, forward_tape
+from selbp.selection import CDF_SOURCES, StrategyConfig, loss_history, select_loss_based
 from selbp.trainer import (
     BATCH_MODES,
     METRICS_FIELDS,
     TrainConfig,
     apply_label_noise,
     cost_units,
+    forward_batch,
     lr_at,
-    resolve_batch_sizes,
     run_training,
+    select_subset,
     sgd_update,
     subset_size,
 )
@@ -38,24 +39,28 @@ def small_blobs(seed=3, n=500):
 
 def test_fixed_mode_shrinks_subset():
     cfg = TrainConfig(base_batch=128, fraction=0.5, batch_mode="fixed")
-    assert resolve_batch_sizes(cfg) == (128, 64)
+    assert forward_batch(cfg) == 128
+    assert subset_size(cfg.fraction, 128) == 64
 
 
 def test_scaled_mode_inflates_forward_batch():
     cfg = TrainConfig(base_batch=128, fraction=0.5, batch_mode="scaled")
-    assert resolve_batch_sizes(cfg) == (256, 128)
+    assert forward_batch(cfg) == 256
+    assert subset_size(cfg.fraction, 256) == 128
 
 
 def test_full_fraction_is_identity_in_both_modes():
     for mode in ("fixed", "scaled"):
         cfg = TrainConfig(base_batch=128, fraction=1.0, batch_mode=mode)
-        assert resolve_batch_sizes(cfg) == (128, 128)
+        assert forward_batch(cfg) == 128
+        assert subset_size(cfg.fraction, 128) == 128
 
 
 def test_scaled_mode_rejects_a_forward_batch_beyond_the_training_set():
     ds = small_blobs(n=300)  # 240 training rows
     cfg = TrainConfig(base_batch=64, fraction=0.1, batch_mode="scaled", epochs=1)
-    assert resolve_batch_sizes(cfg) == (640, 64)
+    assert forward_batch(cfg) == 640
+    assert subset_size(cfg.fraction, 640) == 64
     with pytest.raises(DimensionMismatch, match="M=640.*N=240"):
         run_training(cfg, StrategyConfig(kind="random", fraction=0.1), ds,
                      Mlp.init([2, 8, 3], seed=1))
@@ -64,7 +69,7 @@ def test_scaled_mode_rejects_a_forward_batch_beyond_the_training_set():
 def test_tiny_fraction_rejected():
     cfg = TrainConfig(base_batch=4, fraction=0.01, batch_mode="fixed")
     with pytest.raises(DimensionMismatch):
-        resolve_batch_sizes(cfg)
+        forward_batch(cfg)
 
 
 def test_subset_size_rounds_and_keeps_one_row():
@@ -81,22 +86,26 @@ def test_subset_size_rounds_and_keeps_one_row():
 )
 def test_nominal_subset_is_the_rounding_rule_on_the_forward_batch(batch_mode, base_batch,
                                                                   fraction):
-    # So one rule, subset_size(fraction, rows), cuts full and partial batches alike.
+    # So one rule, subset_size(fraction, rows), cuts full and partial batches
+    # alike: scaled mode's forward batch is cut back to base_batch rows.
     cfg = TrainConfig(base_batch=base_batch, fraction=fraction, batch_mode=batch_mode)
     if batch_mode == "fixed" and round(fraction * base_batch) < 1:
         with pytest.raises(DimensionMismatch):
-            resolve_batch_sizes(cfg)
+            forward_batch(cfg)
         return
-    M, m = resolve_batch_sizes(cfg)
-    assert m == subset_size(fraction, M)
+    M = forward_batch(cfg)
+    if batch_mode == "scaled":
+        assert subset_size(fraction, M) == base_batch
+    else:
+        assert M == base_batch
 
 
 def test_partial_batch_uses_the_nominal_rounding_rule():
     ds = small_blobs(n=136)  # 109 training points: batches of 64 and 45
     assert ds.X_train.shape[0] == 109
     cfg = TrainConfig(base_batch=64, fraction=0.3, epochs=1, base_lr=0.05, seed=2)
-    _, m = resolve_batch_sizes(cfg)
-    assert m == subset_size(0.3, 64) == 19
+    assert forward_batch(cfg) == 64
+    assert subset_size(cfg.fraction, 64) == 19
     model = Mlp.init([2, 8, 3], seed=3)
     records = run_training(cfg, StrategyConfig(kind="random", fraction=0.3), ds, model)
     assert records[-1].backprop_points_cum == 19 + 14
@@ -313,15 +322,30 @@ def test_rolling_buffer_run_survives_a_batch_below_the_buffer(monkeypatch):
     real = selbp.trainer.select_loss_based
     below = []
 
-    def watch(losses, m, cfg, buffer, rng):
+    def watch(losses, m, buffer, rng):
         below.append(bool(buffer) and losses.max() < min(buffer))
-        return real(losses, m, cfg, buffer, rng)
+        return real(losses, m, buffer, rng)
 
     monkeypatch.setattr(selbp.trainer, "select_loss_based", watch)
     cfg = TrainConfig(base_batch=2, fraction=0.5, epochs=2, base_lr=0.05, seed=0)
     strat = StrategyConfig(kind="loss_based", fraction=0.5, cdf_source="rolling_buffer")
     records = run_training(cfg, strat, small_blobs(), Mlp.init([2, 32, 3], seed=0))
     assert any(below) and len(records) == 2
+
+
+@pytest.mark.parametrize("cdf_source", CDF_SOURCES)
+def test_select_subset_hands_the_loss_history_to_a_rolling_buffer_alone(cdf_source):
+    ds = small_blobs(n=100)
+    tape = forward_tape(Mlp.init([2, 8, 3], seed=1), ds.X_train[:16], ds.y_train[:16])
+    history = loss_history(16)
+    history.extend(np.linspace(0.0, 2.0, 32))
+    rolling = cdf_source == "rolling_buffer"
+    reference = history.copy() if rolling else None
+    sel = select_subset(StrategyConfig(kind="loss_based", cdf_source=cdf_source), tape, 4,
+                        history, np.random.default_rng(5))
+    expected = select_loss_based(tape.losses, 4, reference, np.random.default_rng(5))
+    np.testing.assert_array_equal(sel.indices, expected.indices)
+    assert len(history) == 32 + 16 * rolling  # extended exactly when read
 
 
 def test_divergence_raises_with_diagnostic_record():
