@@ -200,7 +200,7 @@ def main(argv=None):
         if args.command == "synth-data":
             return cmd_synth_data(_load_spec(args))
         return cmd_selftest()
-    except SelbpError as exc:
+    except (SelbpError, OSError) as exc:  # a cell's own OSError fails that cell alone
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

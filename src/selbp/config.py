@@ -38,7 +38,7 @@ class ExperimentSpec:
     hidden: tuple = (32,)
     activation: str = "relu"
     train: TrainConfig = field(default_factory=TrainConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
+    cdf_source: str = "within_batch"
     strategy_kinds: tuple = ("random",)
     fractions: tuple = (0.5,)
     seeds: tuple = (0,)
@@ -48,6 +48,7 @@ class ExperimentSpec:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        StrategyConfig(cdf_source=self.cdf_source)  # alone first: an error names its own line
         # Each grid value is checked by building what its cell builds.
         builders = {"strategy_kinds": self.strategy_config,
                     "fractions": lambda f: forward_batch(self.train_config(f, 0)),
@@ -72,7 +73,7 @@ class ExperimentSpec:
             raise ValueError(f"eval_num_batches must be >= 1, got {self.eval_num_batches}")
 
     def strategy_config(self, kind):
-        return replace(self.strategy, kind=kind)
+        return StrategyConfig(kind=kind, cdf_source=self.cdf_source)
 
     def train_config(self, fraction, seed):
         return replace(self.train, fraction=fraction, seed=seed)
@@ -84,7 +85,7 @@ REQUIRED_KEYS = ("dataset.kind", "strategy.kinds")
 COMMENT = re.compile(r"(?:^|\s)#")
 
 # ExperimentSpec fields that hold a config object, each built from its keys.
-SECTIONS = {"dataset": DatasetDescriptor, "train": TrainConfig, "strategy": StrategyConfig}
+SECTIONS = {"dataset": DatasetDescriptor, "train": TrainConfig}
 
 
 def _bool(s):
@@ -133,7 +134,7 @@ KNOWN_KEYS = {
     "train.stretch_schedule": ("train", "stretch_schedule", _bool),
     "train.label_noise": ("train", "label_noise", float),
     "strategy.kinds": ("spec", "strategy_kinds", _tuple(str)),
-    "strategy.cdf_source": ("strategy", "cdf_source", str),
+    "strategy.cdf_source": ("spec", "cdf_source", str),
     "grid.fractions": ("spec", "fractions", _tuple(float)),
     "grid.seeds": ("spec", "seeds", _tuple(int)),
     "eval.num_batches": ("spec", "eval_num_batches", int),
@@ -219,14 +220,16 @@ def _fmt(value):
 
 def dump_config(spec):
     """Serialize a spec so that parse(dump(spec)) == spec. Raises
-    :class:`ParseError` for a value the parser would read as a comment."""
+    :class:`ParseError` for a value that would not read back as itself."""
     lines = []
-    for key, (target, attr, _) in KNOWN_KEYS.items():
+    for key, (target, attr, parse) in KNOWN_KEYS.items():
         if target == "preset":
             continue
         owner = spec if target == "spec" else getattr(spec, target)
-        value = _fmt(getattr(owner, attr))
-        if COMMENT.search(value):
-            raise ParseError(f"{key} = {value!r}: its '#' would be read as a comment")
-        lines.append(f"{key} = {value}")
+        value = getattr(owner, attr)
+        text = _fmt(value)
+        same = parse(text.strip()) == value or value != value  # NaN reads back as NaN
+        if len(text.splitlines()) > 1 or COMMENT.search(text) or not same:
+            raise ParseError(f"{key} = {text!r} would not read back as itself")
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -197,6 +197,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "strategy.kinds" in capsys.readouterr().err
 
 
+def test_a_missing_config_file_is_one_error_line(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path / "missing.cfg")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "missing.cfg" in err[0]
+
+
 def test_deterministic_across_invocations(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_GRID)
     out1, out2 = tmp_path / "a", tmp_path / "b"

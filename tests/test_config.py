@@ -16,6 +16,7 @@ from selbp.config import (
     load_config,
     parse_config_text,
 )
+from selbp.data import DatasetDescriptor
 from selbp.errors import ParseError
 from selbp.selection import StrategyConfig
 
@@ -46,16 +47,15 @@ def test_unknown_key_rejected():
             parse_config_text(MINIMAL + f"{key} = false\n")
 
 
-def test_strategy_keys_fill_the_strategy_template():
-    spec = parse_config_text(
-        MINIMAL
-        + "strategy.cdf_source = rolling_buffer\n"
-    )
-    assert spec.strategy == StrategyConfig(cdf_source="rolling_buffer")
+def test_cdf_source_key_sets_each_cells_strategy():
+    spec = parse_config_text(MINIMAL + "strategy.cdf_source = rolling_buffer\n")
+    assert spec.cdf_source == "rolling_buffer"
     assert parse_config_text(dump_config(spec)) == spec
     sc = spec.strategy_config("loss_based")
     assert sc == StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
-    assert spec.strategy.kind == "random"  # template untouched
+    # The spec holds no strategy template whose kind and fraction no cell reads.
+    assert "strategy" not in {f.name for f in fields(ExperimentSpec)}
+    assert set(SECTIONS) == {"dataset", "train"}
 
 
 def test_duplicate_key_rejected():
@@ -223,10 +223,23 @@ def test_dump_parse_roundtrip_keeps_a_hash_inside_a_value():
     assert parse_config_text(dump_config(spec)) == spec
 
 
-@pytest.mark.parametrize("out_dir", ["runs #1", "#runs", "a\t#b"])
-def test_dump_refuses_a_value_it_cannot_write_back(out_dir):
-    with pytest.raises(ParseError, match="out.dir"):
-        dump_config(ExperimentSpec(out_dir=out_dir))
+# Each value, of out.dir or (a tuple) of dataset.feature_cols, would not read
+# back as itself from the dumped text.
+@pytest.mark.parametrize("value", ["runs #1", "#runs", "a\t#b", "runs ", "runs\nout.dir = b",
+                                   ("a,b",), (" a",)])
+def test_dump_refuses_a_value_it_cannot_write_back(value):
+    if isinstance(value, tuple):
+        spec = ExperimentSpec(dataset=DatasetDescriptor(feature_cols=value))
+        key = "dataset.feature_cols"
+    else:
+        spec, key = ExperimentSpec(out_dir=value), "out.dir"
+    with pytest.raises(ParseError, match=re.escape(key)):
+        dump_config(spec)
+
+
+def test_dump_writes_a_nan_that_reads_back_as_nan():
+    spec = parse_config_text(MINIMAL + "dataset.noise = nan\n")
+    assert "dataset.noise = nan\n" in dump_config(spec)
 
 
 def test_load_config_file(tmp_path):
@@ -255,19 +268,18 @@ def test_every_known_key_parseable():
             "spec": spec,
             "dataset": spec.dataset,
             "train": spec.train,
-            "strategy": spec.strategy,
         }[target]
         assert hasattr(obj, attr), key
 
 
 def test_every_section_field_has_a_key():
     # The reverse: a section field without a key would not survive
-    # dump_config/parse_config_text. Only the grid sets the strategy kind and
-    # each cell's fraction and seed.
+    # dump_config/parse_config_text. The spec's own fields count too, except
+    # the sections, which their keys build. Only the grid sets each cell's
+    # fraction and seed.
     keyed = {(target, attr) for target, attr, _ in KNOWN_KEYS.values()}
-    grid = {("strategy", "kind"), ("strategy", "fraction"), ("train", "fraction"),
-            ("train", "seed")}
-    for name, cls in SECTIONS.items():
+    grid = {("train", "fraction"), ("train", "seed"), *(("spec", name) for name in SECTIONS)}
+    for name, cls in {"spec": ExperimentSpec, **SECTIONS}.items():
         for f in fields(cls):
             assert (name, f.name) in keyed | grid, f"{name}.{f.name}"
 
