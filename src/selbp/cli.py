@@ -39,7 +39,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def write_csv(path, fields, rows):
     """Every result CSV: a header row of ``fields``, then ``rows`` in that order."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
         writer.writerows(rows)
@@ -91,7 +91,7 @@ def _worker_pool(jobs):
 def cmd_train(spec, jobs=1):
     resolved = dump_config(spec)  # before any output, as it may refuse a value
     os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "config.cfg"), "w") as fh:
+    with open(os.path.join(spec.out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
         fh.write(resolved)
     cells = [
         (spec, kind, fraction, seed)

@@ -1,13 +1,15 @@
 """Flat key=value experiment configuration with named hyperparameter presets.
 
-The format is one ``key = value`` pair per line; ``#`` starts a comment at
-the start of a line or after whitespace, so a value may hold ``#``. Lists
-are comma-separated. Unknown keys are hard errors. The full schema is
-documented in the README and in ``REQUIRED_KEYS`` / ``KNOWN_KEYS`` below.
+One ``key = value`` pair per line of UTF-8 text; ``#`` starts a comment at the
+start of a line or after whitespace. The keys are ``preset``, ``SPEC_KEYS`` and
+``<section>.<field>`` for every field in ``SECTIONS`` but the two a grid cell
+sets; a field's annotation picks its value's parser. Unknown keys are errors.
 """
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin
 
 from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
@@ -35,13 +37,13 @@ PRESETS = {
 @dataclass
 class ExperimentSpec:
     dataset: DatasetDescriptor = field(default_factory=DatasetDescriptor)
-    hidden: tuple = (32,)
+    hidden: tuple[int, ...] = (32,)
     activation: str = "relu"
     train: TrainConfig = field(default_factory=TrainConfig)
     cdf_source: str = "within_batch"
-    strategy_kinds: tuple = ("random",)
-    fractions: tuple = (0.5,)
-    seeds: tuple = (0,)
+    strategy_kinds: tuple[str, ...] = ("random",)
+    fractions: tuple[float, ...] = (0.5,)
+    seeds: tuple[int, ...] = (0,)
     eval_num_batches: int = 200
     eval_batch: int = 128
     eval_subset: int = 32
@@ -97,50 +99,43 @@ def _bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _tuple(parse):
-    """A parser of comma-separated ``parse`` values; an empty value gives ()."""
-    return lambda s: tuple(parse(x.strip()) for x in s.split(",")) if s else ()
+def _float(s):
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
 
+
+def _parser(annotation):
+    """The parser of a field's text: ``tuple[T, ...]`` reads comma-separated
+    ``T`` values (an empty value gives ()), ``bool`` and ``float`` have their
+    own, and any other annotation is the type itself."""
+    if get_origin(annotation) is tuple:
+        item = _parser(get_args(annotation)[0])
+        return lambda s: tuple(item(x.strip()) for x in s.split(",")) if s else ()
+    return {bool: _bool, float: _float}.get(annotation, annotation)
+
+
+# ExperimentSpec's own keyed fields: key -> attribute.
+SPEC_KEYS = {
+    "model.hidden": "hidden", "model.activation": "activation",
+    "strategy.kinds": "strategy_kinds", "strategy.cdf_source": "cdf_source",
+    "grid.fractions": "fractions", "grid.seeds": "seeds",
+    "eval.num_batches": "eval_num_batches", "eval.batch": "eval_batch",
+    "eval.subset": "eval_subset", "out.dir": "out_dir",
+}
 
 # key -> (target, attribute, parser) where target is "spec", "preset" or a
-# name in SECTIONS. Values reach their parser stripped.
+# name in SECTIONS. Each section field is the key <section>.<field>, except
+# the fraction and seed that the grid sets per cell. The field's annotation
+# picks the parser; values reach it stripped.
 KNOWN_KEYS = {
     "preset": ("preset", None, str),
-    "dataset.kind": ("dataset", "kind", str),
-    "dataset.path": ("dataset", "path", str),
-    "dataset.label_col": ("dataset", "label_col", str),
-    "dataset.feature_cols": ("dataset", "feature_cols", _tuple(str)),
-    "dataset.split": ("dataset", "split", float),
-    "dataset.split_seed": ("dataset", "split_seed", int),
-    "dataset.n": ("dataset", "n", int),
-    "dataset.classes": ("dataset", "classes", int),
-    "dataset.dim": ("dataset", "dim", int),
-    "dataset.separation": ("dataset", "separation", float),
-    "dataset.noise": ("dataset", "noise", float),
-    "dataset.seed": ("dataset", "seed", int),
-    "model.hidden": ("spec", "hidden", _tuple(int)),
-    "model.activation": ("spec", "activation", str),
-    "train.base_batch": ("train", "base_batch", int),
-    "train.batch_mode": ("train", "batch_mode", str),
-    "train.epochs": ("train", "epochs", int),
-    "train.momentum": ("train", "momentum", float),
-    "train.nesterov": ("train", "nesterov", _bool),
-    "train.weight_decay": ("train", "weight_decay", float),
-    "train.schedule": ("train", "schedule", str),
-    "train.milestones": ("train", "milestones", _tuple(int)),
-    "train.decay_factor": ("train", "decay_factor", float),
-    "train.base_lr": ("train", "base_lr", float),
-    "train.lr_factor": ("train", "lr_factor", float),
-    "train.stretch_schedule": ("train", "stretch_schedule", _bool),
-    "train.label_noise": ("train", "label_noise", float),
-    "strategy.kinds": ("spec", "strategy_kinds", _tuple(str)),
-    "strategy.cdf_source": ("spec", "cdf_source", str),
-    "grid.fractions": ("spec", "fractions", _tuple(float)),
-    "grid.seeds": ("spec", "seeds", _tuple(int)),
-    "eval.num_batches": ("spec", "eval_num_batches", int),
-    "eval.batch": ("spec", "eval_batch", int),
-    "eval.subset": ("spec", "eval_subset", int),
-    "out.dir": ("spec", "out_dir", str),
+    **{f"{name}.{f.name}": (name, f.name, _parser(f.type))
+       for name, cls in SECTIONS.items() for f in fields(cls)
+       if f"{name}.{f.name}" not in ("train.fraction", "train.seed")},
+    **{key: ("spec", attr, _parser(ExperimentSpec.__annotations__[attr]))
+       for key, attr in SPEC_KEYS.items()},
 }
 
 
@@ -204,8 +199,12 @@ def load_config(path):
     Raises :class:`ParseError` with line diagnostics on malformed input and
     on keys outside the schema.
     """
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def _fmt(value):
@@ -228,8 +227,10 @@ def dump_config(spec):
         owner = spec if target == "spec" else getattr(spec, target)
         value = getattr(owner, attr)
         text = _fmt(value)
-        same = parse(text.strip()) == value or value != value  # NaN reads back as NaN
-        if len(text.splitlines()) > 1 or COMMENT.search(text) or not same:
-            raise ParseError(f"{key} = {text!r} would not read back as itself")
+        try:
+            if len(text.splitlines()) > 1 or COMMENT.search(text) or parse(text.strip()) != value:
+                raise ValueError
+        except ValueError:
+            raise ParseError(f"{key} = {text!r} would not read back as itself") from None
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ class DatasetDescriptor:
     # csv
     path: str = ""
     label_col: str = "label"
-    feature_cols: tuple = ()  # empty = all non-label columns
+    feature_cols: tuple[str, ...] = ()  # empty = all non-label columns
     split: float = 0.8  # train fraction
     split_seed: int = 0
     # synthetic
@@ -127,44 +127,43 @@ def ingest_csv(desc):
     constant columns map to all-zero (variance guard 1e-12). The train/test
     split is seeded and reproducible.
     """
-    with open(desc.path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file has no label column
-        if desc.label_col not in header:
-            raise MalformedRow(f"label column {desc.label_col!r} not in header")
-        label_idx = header.index(desc.label_col)
-        if desc.feature_cols:
-            missing = [c for c in desc.feature_cols if c not in header]
-            if missing:
-                raise MalformedRow(f"feature columns not in header: {missing}")
-            if desc.label_col in desc.feature_cols:
-                raise MalformedRow(f"feature columns name the label column {desc.label_col!r}")
-            feat_idx = [header.index(c) for c in desc.feature_cols]
-        else:
-            feat_idx = [i for i in range(len(header)) if i != label_idx]
-        if not feat_idx:
-            raise DimensionMismatch("the CSV has no feature column")
+    try:
+        with open(desc.path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh.readlines())
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{desc.path} is not UTF-8 text: {exc}") from exc
+    header = next(reader, [])  # an empty file has no label column
+    if desc.label_col not in header:
+        raise MalformedRow(f"label column {desc.label_col!r} not in header")
+    label_idx = header.index(desc.label_col)
+    if desc.feature_cols:
+        missing = [c for c in desc.feature_cols if c not in header]
+        if missing:
+            raise MalformedRow(f"feature columns not in header: {missing}")
+        if desc.label_col in desc.feature_cols:
+            raise MalformedRow(f"feature columns name the label column {desc.label_col!r}")
+        feat_idx = [header.index(c) for c in desc.feature_cols]
+    else:
+        feat_idx = [i for i in range(len(header)) if i != label_idx]
+    if not feat_idx:
+        raise DimensionMismatch("the CSV has no feature column")
 
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise MalformedRow(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                feats = [float(row[i]) for i in feat_idx]
-                lab = int(row[label_idx])
-            except ValueError as exc:
-                raise MalformedRow(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, feats)):
-                bad = next(i for i, v in zip(feat_idx, feats) if not math.isfinite(v))
-                raise MalformedRow(
-                    f"line {lineno}: non-finite feature {header[bad]!r} = {row[bad]!r}"
-                )
-            if lab < 0:
-                raise MalformedRow(f"line {lineno}: negative label {lab}")
-            rows.append(feats)
-            labels.append(lab)
+    rows, labels = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            feats = [float(row[i]) for i in feat_idx]
+            lab = int(row[label_idx])
+        except ValueError as exc:
+            raise MalformedRow(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, feats)):
+            bad = next(i for i, v in zip(feat_idx, feats) if not math.isfinite(v))
+            raise MalformedRow(f"line {lineno}: non-finite feature {header[bad]!r} = {row[bad]!r}")
+        if lab < 0:
+            raise MalformedRow(f"line {lineno}: negative label {lab}")
+        rows.append(feats)
+        labels.append(lab)
     if not rows:
         raise DimensionMismatch("the CSV has no data rows")
 

@@ -31,7 +31,7 @@ class TrainConfig:
     nesterov: bool = True
     weight_decay: float = 0.0
     schedule: str = "constant"
-    milestones: tuple = ()
+    milestones: tuple[int, ...] = ()
     decay_factor: float = 0.2
     base_lr: float = 0.1
     lr_factor: float = 1.0

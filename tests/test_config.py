@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -83,6 +84,13 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("train.base_lr = 0\n", "line 3: bad value for 'train.base_lr'"),
         ("train.momentum = 1\n", "line 3: bad value for 'train.momentum'"),
         ("train.weight_decay = -1e-4\n", "line 3: bad value for 'train.weight_decay'"),
+        # A non-finite number is refused by the parser of every float field.
+        *((f"{key} = {value}\n", f"line 3: bad value for {key!r}: not a finite number")
+          for key in ("dataset.separation", "dataset.noise", "train.decay_factor")
+          for value in ("nan", "inf", "-inf")),
+        ("train.base_lr = inf\n", "line 3: bad value for 'train.base_lr': not a finite number"),
+        ("train.weight_decay = inf\n",
+         "line 3: bad value for 'train.weight_decay': not a finite number"),
     )
     for text, where in cases:
         with pytest.raises(ParseError) as exc:
@@ -223,23 +231,20 @@ def test_dump_parse_roundtrip_keeps_a_hash_inside_a_value():
     assert parse_config_text(dump_config(spec)) == spec
 
 
-# Each value, of out.dir or (a tuple) of dataset.feature_cols, would not read
-# back as itself from the dumped text.
+# Each value, of out.dir, (a tuple) of dataset.feature_cols or (a float) of
+# dataset.noise, would not read back as itself from the dumped text.
 @pytest.mark.parametrize("value", ["runs #1", "#runs", "a\t#b", "runs ", "runs\nout.dir = b",
-                                   ("a,b",), (" a",)])
+                                   ("a,b",), (" a",), math.nan])
 def test_dump_refuses_a_value_it_cannot_write_back(value):
     if isinstance(value, tuple):
         spec = ExperimentSpec(dataset=DatasetDescriptor(feature_cols=value))
         key = "dataset.feature_cols"
+    elif isinstance(value, float):
+        spec, key = ExperimentSpec(dataset=DatasetDescriptor(noise=value)), "dataset.noise"
     else:
         spec, key = ExperimentSpec(out_dir=value), "out.dir"
     with pytest.raises(ParseError, match=re.escape(key)):
         dump_config(spec)
-
-
-def test_dump_writes_a_nan_that_reads_back_as_nan():
-    spec = parse_config_text(MINIMAL + "dataset.noise = nan\n")
-    assert "dataset.noise = nan\n" in dump_config(spec)
 
 
 def test_load_config_file(tmp_path):
@@ -247,6 +252,15 @@ def test_load_config_file(tmp_path):
     path.write_text(MINIMAL + "out.dir = results\n")
     spec = load_config(path)
     assert spec.out_dir == "results"
+
+
+def test_load_config_reads_utf8_and_names_a_file_that_is_not(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes((MINIMAL + "out.dir = résumé\n").encode("utf-8"))
+    assert load_config(path).out_dir == "résumé"
+    path.write_bytes(MINIMAL.encode() + b"out.dir = \xff\n")
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))} is not UTF-8 text"):
+        load_config(path)
 
 
 def test_derived_configs():

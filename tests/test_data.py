@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ def test_csv_malformed_row_reports_line(tmp_path):
     text = "a,label\n1,0\n2\n"
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
     with pytest.raises(MalformedRow, match="line 3"):
+        ingest_csv(desc)
+
+
+def test_csv_reads_utf8_and_names_a_file_that_is_not(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes("é,label\n1,0\n2,1\n3,0\n4,1\n".encode("utf-8"))
+    desc = DatasetDescriptor(kind="csv", path=str(path), split=0.5, feature_cols=("é",))
+    assert ingest_csv(desc).X_train.shape == (2, 1)
+    path.write_bytes(b"a,label\n1,0\n\xff,1\n")
+    with pytest.raises(MalformedRow, match=f"{re.escape(str(path))} is not UTF-8 text"):
         ingest_csv(desc)
 
 

@@ -1,8 +1,8 @@
 """Every demo script and the self-check run to completion against the
 package source, from an empty directory, writing no files; a process that
 uses the package loads only what the package needs; the package exports
-exactly what the README and the demos import from it; and no module imports
-a name it never uses."""
+exactly what the README and the demos import from it; no module imports a
+name it never uses; and every file the package opens is opened as UTF-8."""
 
 import ast
 import os
@@ -50,6 +50,16 @@ def test_module_uses_every_name_it_imports(module):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"imported but never used: {sorted(imported - used)}"
+
+
+def test_every_open_names_its_encoding():
+    # Config, dataset and result files are UTF-8 whatever the locale's encoding.
+    bare = [f"{path.name}:{node.lineno}" for path in (ROOT / "src" / "selbp").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+            and ("encoding", "utf-8") not in {(kw.arg, getattr(kw.value, "value", None))
+                                              for kw in node.keywords}]
+    assert bare == []
 
 
 def test_config_restates_no_rule_of_another_module():
