@@ -3,13 +3,15 @@
 Subcommands:
 
 * ``train``      — run the (strategy x fraction x seed) grid, one metrics CSV
-                   per run plus a summary CSV and the resolved config.
+                   per run plus a summary CSV.
 * ``grad-error`` — the gradient-estimate-quality experiment; histogram CSV.
 * ``selftest``   — print the checks of ``selbp.oracles.selftest``, one
                    ``[ok]``/``[FAIL]`` line each; exit 1 on a failure.
 * ``synth-data`` — materialize a synthetic dataset as CSV.
 
-Consumers are scripts and plotting tools; everything is emitted as tidy CSV.
+Each data command builds its dataset once, before any output, and writes its
+resolved ``config.cfg`` beside its results. Consumers are scripts and plotting
+tools; everything is emitted as tidy CSV.
 """
 
 import argparse
@@ -22,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, replace
 from functools import partial
+from itertools import product
 
 from . import evalgrad
 from .config import dump_config, load_config
@@ -50,12 +53,10 @@ def _build_model(spec, dataset, seed):
     return Mlp.init(sizes, activation=spec.activation, seed=seed)
 
 
-def _run_cell(args):
+def _run_cell(spec, dataset, kind, fraction, seed):
     """One grid cell: train a fresh model, write its metrics CSV, return its
     ``SUMMARY_FIELDS`` row. A diverged cell writes the records it has, then raises.
     Top-level so it pickles into worker processes."""
-    spec, kind, fraction, seed = args
-    dataset = build_dataset(spec.dataset)
     model = _build_model(spec, dataset, seed)
     cfg = spec.train_config(fraction, seed)
     strategy = spec.strategy_config(kind)
@@ -88,37 +89,26 @@ def _worker_pool(jobs):
                 os.environ[var] = value
 
 
-def cmd_train(spec, jobs=1):
-    resolved = dump_config(spec)  # before any output, as it may refuse a value
-    os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(resolved)
-    cells = [
-        (spec, kind, fraction, seed)
-        for kind in spec.strategy_kinds
-        for fraction in spec.fractions
-        for seed in spec.seeds
-    ]
+def cmd_train(spec, dataset, jobs):
+    cells = list(product(spec.strategy_kinds, spec.fractions, spec.seeds))
+    run = partial(_run_cell, spec, dataset)
     failures = 0
     rows = []
     with _worker_pool(jobs) if jobs > 1 else nullcontext() as pool:
         # Each cell's result: a worker's future, or the cell run here when called.
-        results = [pool.submit(_run_cell, c).result if pool else partial(_run_cell, c)
-                   for c in cells]
+        results = [pool.submit(run, *c).result if pool else partial(run, *c) for c in cells]
         for cell, result in zip(cells, results):
             try:
                 rows.append(result())
             except Exception as exc:  # a failed cell must not lose the grid's summary
                 failures += 1
-                logger.error("cell %s failed: %s", cell[1:], exc,
+                logger.error("cell %s failed: %s", cell, exc,
                              exc_info=not isinstance(exc, SelbpError))
     write_csv(os.path.join(spec.out_dir, "summary.csv"), SUMMARY_FIELDS, rows)
     return 0 if failures == 0 else 1
 
 
-def cmd_grad_error(spec):
-    os.makedirs(spec.out_dir, exist_ok=True)
-    dataset = build_dataset(spec.dataset)
+def cmd_grad_error(spec, dataset):
     model = _build_model(spec, dataset, spec.seeds[0])
     strategies = {kind: spec.strategy_config(kind) for kind in spec.strategy_kinds}
     samples = evalgrad.gradient_error_experiment(
@@ -145,27 +135,35 @@ def cmd_selftest():
     return 0 if all(passed for _, passed, _ in results) else 1
 
 
-def cmd_synth_data(spec):
-    os.makedirs(spec.out_dir, exist_ok=True)
+def cmd_synth_data(spec, dataset):
     path = os.path.join(spec.out_dir, f"{spec.dataset.kind}.csv")
-    ds = build_dataset(spec.dataset)
-    header = [f"x{i}" for i in range(ds.X_train.shape[1])] + ["label"]
+    header = [f"x{i}" for i in range(dataset.X_train.shape[1])] + ["label"]
     rows = ([repr(float(v)) for v in x] + [int(label)]
-            for X, y in ((ds.X_train, ds.y_train), (ds.X_test, ds.y_test))
+            for X, y in ((dataset.X_train, dataset.y_train),
+                         (dataset.X_test, dataset.y_test))
             for x, label in zip(X, y))
     write_csv(path, header, rows)
     print(f"wrote {path}")
     return 0
 
 
-def _load_spec(args):
+def _prepare(args):
+    """The spec with ``--out`` and ``--seed`` applied, and its dataset. The
+    output directory and its ``config.cfg`` are written only once the spec
+    writes back and the data is built, so bad input leaves no output."""
     spec = load_config(args.config)
     seed = getattr(args, "seed", None)
     try:  # the spec's own checks, as for the same value in the file
-        return replace(spec, out_dir=spec.out_dir if args.out is None else args.out,
+        spec = replace(spec, out_dir=spec.out_dir if args.out is None else args.out,
                        seeds=spec.seeds if seed is None else (seed,))
     except ValueError as exc:
         raise ParseError(f"bad command-line value: {exc}") from exc
+    resolved = dump_config(spec)
+    dataset = build_dataset(spec.dataset)
+    os.makedirs(spec.out_dir, exist_ok=True)
+    with open(os.path.join(spec.out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(resolved)
+    return spec, dataset
 
 
 def _jobs(value):
@@ -193,13 +191,14 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "selftest":
+            return cmd_selftest()
+        spec, dataset = _prepare(args)
         if args.command == "train":
-            return cmd_train(_load_spec(args), jobs=args.jobs)
+            return cmd_train(spec, dataset, args.jobs)
         if args.command == "grad-error":
-            return cmd_grad_error(_load_spec(args))
-        if args.command == "synth-data":
-            return cmd_synth_data(_load_spec(args))
-        return cmd_selftest()
+            return cmd_grad_error(spec, dataset)
+        return cmd_synth_data(spec, dataset)
     except (SelbpError, OSError) as exc:  # a cell's own OSError fails that cell alone
         print(f"error: {exc}", file=sys.stderr)
         return 1

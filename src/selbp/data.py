@@ -38,6 +38,9 @@ class DatasetDescriptor:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.n < self.classes:
             raise ValueError("n must be at least the number of classes")
+        if self.kind == "blobs" and self.dim < self.classes - 1:
+            raise ValueError(f"dim {self.dim} is below classes - 1 = {self.classes - 1}, "
+                             "too few for equidistant blob means")
         self.feature_cols = tuple(self.feature_cols)
 
 
@@ -70,12 +73,8 @@ def _simplex_centers(classes, dim, side):
     """Class means with all pairwise distances equal to ``side``.
 
     Standard simplex construction in (classes - 1) dimensions, zero-padded
-    to ``dim`` and centered at the origin.
+    to ``dim`` (at least ``classes - 1``) and centered at the origin.
     """
-    if dim < classes - 1:
-        raise DimensionMismatch(
-            f"dim {dim} too small for {classes} equidistant class means"
-        )
     k = classes
     verts = np.eye(k)  # pairwise distance sqrt(2)
     verts -= verts.mean(axis=0)

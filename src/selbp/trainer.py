@@ -132,9 +132,8 @@ def lr_at(cfg, epoch):
 
 
 def apply_label_noise(labels, fraction, num_classes, rng):
-    """Redraw labels of floor(fraction * N) uniformly chosen training points."""
-    if not 0 <= fraction < 1:
-        raise ValueError(f"fraction must be in [0, 1), got {fraction}")
+    """Redraw labels of floor(fraction * N) uniformly chosen training points;
+    ``fraction`` is in [0, 1), as ``TrainConfig.label_noise`` checks."""
     labels = np.asarray(labels).copy()
     n_noisy = int(fraction * labels.shape[0])
     if n_noisy == 0:

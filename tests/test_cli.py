@@ -1,6 +1,7 @@
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,6 +100,37 @@ def test_train_writes_its_resolved_config(tmp_path):
     assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_train_builds_the_dataset_once(tmp_path, monkeypatch, jobs):
+    calls = []
+    real = selbp.cli.build_dataset
+    monkeypatch.setattr(selbp.cli, "build_dataset", lambda desc: calls.append(desc) or real(desc))
+    cfg = write_cfg(tmp_path, SMALL_GRID)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "runs"), "--jobs", jobs]) == 0
+    assert calls == [load_config(cfg).dataset]
+
+
+BAD_DATASETS = {
+    "missing": None,
+    "non-numeric": b"x0,x1,label\n1.0,2.0,0\n1.5,x,1\n",
+    "non-utf8": b"x0,x1,label\n1.0,2.0,0\n\xff,1.0,1\n",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_DATASETS))
+def test_a_bad_dataset_is_one_error_line_and_no_output(tmp_path, capsys, case, jobs):
+    data = tmp_path / "data.csv"
+    if BAD_DATASETS[case] is not None:
+        data.write_bytes(BAD_DATASETS[case])
+    cfg = write_cfg(tmp_path, SMALL_GRID.replace("kind = blobs", f"kind = csv\ndataset.path = {data}"))
+    out = tmp_path / "runs"
+    assert main(["train", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
 def test_train_refuses_an_out_dir_its_config_cannot_name(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_GRID)
     out = tmp_path / "runs #1"
@@ -162,6 +194,8 @@ def test_grad_error_command(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 5
     assert all(float(r["squared_error"]) >= 0 for r in rows)
+    spec = replace(load_config(cfg), out_dir=str(out))
+    assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
 def test_synth_data_command(tmp_path):
@@ -173,6 +207,8 @@ def test_synth_data_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x0", "x1", "label"]
     assert len(rows) == 201
+    spec = replace(load_config(cfg), out_dir=str(out))
+    assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
 def test_selftest_command(capsys):
@@ -238,7 +274,7 @@ def test_a_crashed_cell_does_not_lose_the_summary(tmp_path, monkeypatch, caplog)
     cfg = write_cfg(tmp_path, SMALL_GRID)
     out = tmp_path / "runs"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 1
-    assert "worker bug" in caplog.text
+    assert "cell ('loss_based', 0.5, 1) failed: worker bug" in caplog.text
     rows = read_summary_csv(out / "summary.csv")
     assert len(rows) == 7
     assert ("loss_based", 0.5, 1) not in {(r["strategy"], r["fraction"], r["seed"]) for r in rows}

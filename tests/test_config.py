@@ -79,6 +79,9 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("train.milestones = 5,5\n", "line 3: bad value for 'train.milestones'"),
         ("dataset.classes = 0\n", "line 3: bad value for 'dataset.classes'"),
         ("dataset.dim = 0\n", "line 3: bad value for 'dataset.dim'"),
+        # Blobs need dim >= classes - 1: the dim line if given, else the classes line.
+        ("dataset.classes = 10\ndataset.dim = 2\n", "line 4: bad value for 'dataset.dim'"),
+        ("dataset.classes = 10\n", "line 3: bad value for 'dataset.classes'"),
         ("dataset.seed = -1\n", "line 3: bad value for 'dataset.seed'"),
         ("dataset.split_seed = -1\n", "line 3: bad value for 'dataset.split_seed'"),
         ("train.base_lr = 0\n", "line 3: bad value for 'train.base_lr'"),
@@ -308,7 +311,7 @@ NON_DEFAULT = {
     "dataset.split": "0.5",
     "dataset.split_seed": "1",
     "dataset.n": "100",
-    "dataset.classes": "4",
+    "dataset.classes": "2",
     "dataset.dim": "3",
     "dataset.separation": "2.0",
     "dataset.noise": "0.3",

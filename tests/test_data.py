@@ -199,8 +199,11 @@ def test_blobs_unit_within_class_variance():
 
 
 def test_blobs_dim_too_small_rejected():
-    with pytest.raises(DimensionMismatch):
-        synth_blobs(DatasetDescriptor(kind="blobs", n=100, classes=4, dim=2))
+    # Refused when the descriptor is made, so a config read names the key's line.
+    with pytest.raises(ValueError, match="dim 2 is below classes - 1 = 3"):
+        DatasetDescriptor(kind="blobs", n=100, classes=4, dim=2)
+    # The rule is the blobs construction's alone.
+    DatasetDescriptor(kind="two_moons", n=100, classes=4, dim=2)
 
 
 def test_blobs_seeded_determinism():
