@@ -108,7 +108,7 @@ def cmd_train(spec, dataset, jobs):
     return 0 if failures == 0 else 1
 
 
-def cmd_grad_error(spec, dataset):
+def cmd_grad_error(spec, dataset, start_output):
     model = _build_model(spec, dataset, spec.seeds[0])
     strategies = {kind: spec.strategy_config(kind) for kind in spec.strategy_kinds}
     samples = evalgrad.gradient_error_experiment(
@@ -121,6 +121,7 @@ def cmd_grad_error(spec, dataset):
         m=spec.eval_subset,
         seed=spec.seeds[0],
     )
+    start_output()  # only now: the experiment refuses sizes the data cannot meet
     write_csv(os.path.join(spec.out_dir, "grad_errors.csv"), evalgrad.GRAD_ERROR_FIELDS,
               map(astuple, samples))
     return 0
@@ -148,9 +149,9 @@ def cmd_synth_data(spec, dataset):
 
 
 def _prepare(args):
-    """The spec with ``--out`` and ``--seed`` applied, and its dataset. The
-    output directory and its ``config.cfg`` are written only once the spec
-    writes back and the data is built, so bad input leaves no output."""
+    """The spec with ``--out`` and ``--seed`` applied, its dataset, and the
+    function that makes the output directory and writes ``config.cfg``; this
+    writes nothing, so input refused here leaves no output."""
     spec = load_config(args.config)
     seed = getattr(args, "seed", None)
     try:  # the spec's own checks, as for the same value in the file
@@ -160,10 +161,12 @@ def _prepare(args):
         raise ParseError(f"bad command-line value: {exc}") from exc
     resolved = dump_config(spec)
     dataset = build_dataset(spec.dataset)
-    os.makedirs(spec.out_dir, exist_ok=True)
-    with open(os.path.join(spec.out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(resolved)
-    return spec, dataset
+
+    def start_output():
+        os.makedirs(spec.out_dir, exist_ok=True)
+        with open(os.path.join(spec.out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(resolved)
+    return spec, dataset, start_output
 
 
 def _jobs(value):
@@ -193,11 +196,12 @@ def main(argv=None):
     try:
         if args.command == "selftest":
             return cmd_selftest()
-        spec, dataset = _prepare(args)
+        spec, dataset, start_output = _prepare(args)
+        if args.command == "grad-error":
+            return cmd_grad_error(spec, dataset, start_output)
+        start_output()
         if args.command == "train":
             return cmd_train(spec, dataset, args.jobs)
-        if args.command == "grad-error":
-            return cmd_grad_error(spec, dataset)
         return cmd_synth_data(spec, dataset)
     except (SelbpError, OSError) as exc:  # a cell's own OSError fails that cell alone
         print(f"error: {exc}", file=sys.stderr)

@@ -120,7 +120,8 @@ def synth_two_moons(desc):
 
 def ingest_csv(desc):
     """Load a labeled CSV: finite numeric features, non-negative integer
-    labels; anything else is a :class:`MalformedRow` naming its line.
+    labels; anything else is a :class:`MalformedRow` naming its line. Every
+    error this raises starts with ``desc.path``.
 
     Features are standardized per column using train-split statistics only;
     constant columns map to all-zero (variance guard 1e-12). The train/test
@@ -133,43 +134,47 @@ def ingest_csv(desc):
         raise MalformedRow(f"{desc.path} is not UTF-8 text: {exc}") from exc
     header = next(reader, [])  # an empty file has no label column
     if desc.label_col not in header:
-        raise MalformedRow(f"label column {desc.label_col!r} not in header")
+        raise MalformedRow(f"{desc.path}: label column {desc.label_col!r} not in header")
     label_idx = header.index(desc.label_col)
     if desc.feature_cols:
         missing = [c for c in desc.feature_cols if c not in header]
         if missing:
-            raise MalformedRow(f"feature columns not in header: {missing}")
+            raise MalformedRow(f"{desc.path}: feature columns not in header: {missing}")
         if desc.label_col in desc.feature_cols:
-            raise MalformedRow(f"feature columns name the label column {desc.label_col!r}")
+            raise MalformedRow(
+                f"{desc.path}: feature columns name the label column {desc.label_col!r}")
         feat_idx = [header.index(c) for c in desc.feature_cols]
     else:
         feat_idx = [i for i in range(len(header)) if i != label_idx]
     if not feat_idx:
-        raise DimensionMismatch("the CSV has no feature column")
+        raise DimensionMismatch(f"{desc.path} has no feature column")
 
     rows, labels = [], []
     for lineno, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise MalformedRow(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        try:
+        try:  # every bad row is one MalformedRow naming the file and line
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             feats = [float(row[i]) for i in feat_idx]
             lab = int(row[label_idx])
+            if not all(map(math.isfinite, feats)):
+                bad = next(i for i, v in zip(feat_idx, feats) if not math.isfinite(v))
+                raise ValueError(f"non-finite feature {header[bad]!r} = {row[bad]!r}")
+            if lab < 0:
+                raise ValueError(f"negative label {lab}")
         except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, feats)):
-            bad = next(i for i, v in zip(feat_idx, feats) if not math.isfinite(v))
-            raise MalformedRow(f"line {lineno}: non-finite feature {header[bad]!r} = {row[bad]!r}")
-        if lab < 0:
-            raise MalformedRow(f"line {lineno}: negative label {lab}")
+            raise MalformedRow(f"{desc.path}, line {lineno}: {exc}") from exc
         rows.append(feats)
         labels.append(lab)
     if not rows:
-        raise DimensionMismatch("the CSV has no data rows")
+        raise DimensionMismatch(f"{desc.path} has no data rows")
 
     X = np.array(rows, dtype=np.float64)
     y = np.array(labels, dtype=np.intp)
     num_classes = int(y.max()) + 1
-    ds = _split(X, y, num_classes, desc.split, desc.split_seed)
+    try:
+        ds = _split(X, y, num_classes, desc.split, desc.split_seed)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{desc.path}: {exc}") from exc
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
         mean = ds.X_train.mean(axis=0)
@@ -180,7 +185,7 @@ def ingest_csv(desc):
     finite = np.isfinite(std) & np.isfinite(ds.X_train).all(0) & np.isfinite(ds.X_test).all(0)
     if not finite.all():
         bad = header[feat_idx[int(finite.argmin())]]
-        raise MalformedRow(f"feature column {bad!r} overflows when standardized")
+        raise MalformedRow(f"{desc.path}: feature column {bad!r} overflows when standardized")
     return ds
 
 

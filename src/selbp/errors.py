@@ -14,11 +14,14 @@ class EmptySelection(SelbpError):
 
 
 class TrainingDiverged(SelbpError):
-    """Training hit a non-finite loss. Carries the metrics recorded so far."""
+    """A training epoch hit a non-finite value; carries the records so far."""
 
-    def __init__(self, message, records=None):
+    def __init__(self, message, records):
         super().__init__(message)
-        self.records = records or []
+        self.records = records
+
+    def __reduce__(self):  # so a worker process's divergence pickles with its records
+        return type(self), (str(self), self.records)
 
 
 class ParseError(SelbpError):

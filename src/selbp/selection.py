@@ -254,12 +254,15 @@ def select_grad_match(K, m, rng):
     product with the batch mean gradient; drops the atoms whose weight is not
     positive (clipped to zero, they would be backpropagated for nothing),
     then rescales so the weights sum to |I|. Falls back to random selection
-    when nothing correlates with the mean gradient or no weight is positive.
-    ``omp_gram`` checks that m fits the batch before any OMP work.
+    when nothing correlates with the mean gradient or no weight is positive,
+    and raises ``ValueError`` on a non-finite ``K``. ``omp_gram`` checks that
+    m fits the batch before any OMP work.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2:
         raise DimensionMismatch(f"K must be a square matrix, got shape {K.shape}")
+    if not np.isfinite(K).all():  # on NaN correlations OMP can take an atom twice
+        raise ValueError("Gram matrix contains non-finite entries")
     M = K.shape[0]
 
     try:

@@ -179,20 +179,15 @@ def select_subset(strategy, tape, m, buffer, rng):
     return select_grad_match(gram_implicit(tape), m, rng)
 
 
-def _diverged(where, epoch, step, backprop_cum, cost_cum, records, exc):
-    """Append the NaN diagnostic row; returns the TrainingDiverged to raise."""
-    nan = float("nan")
-    records.append(MetricsRecord(epoch, step, nan, nan, backprop_cum, cost_cum, nan, nan))
-    return TrainingDiverged(f"non-finite {where} at epoch {epoch}, step {step}: {exc}", records)
-
-
 def run_training(cfg, strategy, dataset, model):
     """Train ``model`` in place; returns one MetricsRecord per epoch.
 
-    Raises :class:`TrainingDiverged` (carrying the records so far plus a
-    diagnostic row) when a non-finite loss or test logit appears, and
-    :class:`DimensionMismatch` when scaled mode's forward batch exceeds the
-    training set.
+    Each epoch's steps and test evaluation run with overflow silenced: a
+    non-finite value anywhere in them surfaces as a ``ValueError`` at the next
+    forward pass (``BatchTape``'s check), grad_match's Gram matrix or the test
+    evaluation (``accuracy``'s), raised as :class:`TrainingDiverged` with the
+    records so far plus a NaN diagnostic row. Raises :class:`DimensionMismatch`
+    when scaled mode's forward batch exceeds the training set.
     """
     rng = np.random.default_rng(cfg.seed)
     X, y = dataset.X_train, dataset.y_train
@@ -202,8 +197,7 @@ def run_training(cfg, strategy, dataset, model):
         raise DimensionMismatch(
             f"scaled mode's forward batch M={M} exceeds the N={N} training rows"
         )
-    if cfg.label_noise > 0:
-        y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
+    y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
 
     buffer = loss_history(M)
     theta = model.get_params()
@@ -221,38 +215,33 @@ def run_training(cfg, strategy, dataset, model):
         loss_sum = 0.0
         sel_sizes = []
         weight_max = 0.0
-
-        for start in range(0, N, M):
-            batch = perm[start : start + M]
-            Xb, yb = X[batch], y[batch]
-            Mb = batch.shape[0]
-            try:
-                # Overflow surfaces as non-finite values, which BatchTape rejects.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    tape = forward_tape(model, Xb, yb)
-            except ValueError as exc:  # non-finite activations or losses
-                raise _diverged("forward pass", epoch, step, backprop_cum, cost_cum,
-                                records, exc) from exc
-            loss_sum += tape.losses.sum()
-
-            sel = select_subset(strategy, tape, subset_size(cfg.fraction, Mb), buffer, rng)
-            grad = weighted_backward(model, Xb, yb, sel, tape=tape)
-            if cfg.weight_decay:
-                grad = grad + cfg.weight_decay * theta
-            sgd_update(theta, velocity, grad, lr, cfg.momentum, cfg.nesterov)
-
-            step += 1
-            backprop_cum += sel.size
-            cost_cum += cost_units(Mb, sel.size)
-            sel_sizes.append(sel.size)
-            weight_max = max(weight_max, float(sel.weights.max()))
-
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # as for the forward pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                for start in range(0, N, M):
+                    batch = perm[start : start + M]
+                    Xb, yb = X[batch], y[batch]
+                    Mb = batch.shape[0]
+                    tape = forward_tape(model, Xb, yb)
+                    loss_sum += tape.losses.sum()
+
+                    sel = select_subset(strategy, tape, subset_size(cfg.fraction, Mb), buffer, rng)
+                    grad = weighted_backward(model, Xb, yb, sel, tape=tape)
+                    if cfg.weight_decay:
+                        grad = grad + cfg.weight_decay * theta
+                    sgd_update(theta, velocity, grad, lr, cfg.momentum, cfg.nesterov)
+
+                    step += 1
+                    backprop_cum += sel.size
+                    cost_cum += cost_units(Mb, sel.size)
+                    sel_sizes.append(sel.size)
+                    weight_max = max(weight_max, float(sel.weights.max()))
+
                 test_accuracy = accuracy(model, dataset.X_test, dataset.y_test)
-        except ValueError as exc:  # non-finite logits
-            raise _diverged("test evaluation", epoch, step, backprop_cum, cost_cum,
-                            records, exc) from exc
+        except ValueError as exc:  # one of the non-finite checks above
+            nan = float("nan")
+            records.append(MetricsRecord(epoch, step, nan, nan, backprop_cum, cost_cum, nan, nan))
+            raise TrainingDiverged(f"non-finite values at epoch {epoch}, step {step}: {exc}",
+                                   records) from exc
         records.append(
             MetricsRecord(
                 epoch=epoch,

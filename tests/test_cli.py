@@ -128,6 +128,7 @@ def test_a_bad_dataset_is_one_error_line_and_no_output(tmp_path, capsys, case, j
     assert main(["train", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    assert str(data) in err[0]  # the CSV's path, not the line of the --config file
     assert not out.exists()
 
 
@@ -196,6 +197,16 @@ def test_grad_error_command(tmp_path):
     assert all(float(r["squared_error"]) >= 0 for r in rows)
     spec = replace(load_config(cfg), out_dir=str(out))
     assert parse_config_text((out / "config.cfg").read_text()) == spec
+
+
+def test_grad_error_with_a_batch_beyond_the_data_leaves_no_output(tmp_path, capsys):
+    # 200 rows at split 0.8 leave 160 for training, fewer than eval.batch.
+    text = SMALL_GRID + "eval.num_batches = 5\neval.batch = 192\neval.subset = 8\n"
+    out = tmp_path / "ge"
+    assert main(["grad-error", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == "error: forward batch M=192 exceeds the N=160 rows"
+    assert not out.exists()
 
 
 def test_synth_data_command(tmp_path):

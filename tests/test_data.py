@@ -153,6 +153,27 @@ def test_csv_without_rows_or_features_rejected(tmp_path, text, what):
         ingest_csv(desc)
 
 
+@pytest.mark.parametrize("text, options", [
+    ("", {}),  # no label column
+    (TOY, {"feature_cols": ("z",)}),
+    (TOY, {"feature_cols": ("a", "label")}),
+    ("label\n0\n1\n", {}),  # no feature column
+    ("a,label\n", {}),  # no data rows
+    ("a,label\n1,0\n2\n", {}),
+    ("a,label\n1,0\noops,1\n", {}),
+    ("a,label\n1,0\nnan,1\n", {}),
+    ("a,label\n1,0\n2,-1\n", {}),
+    ("a,label\n1,0\n2,1\n3,0\n", {"split": 0.9}),  # an empty test split
+    ("a,label\n1e308,0\n1.5e308,1\n1.7e308,0\n1.6e308,1\n", {}),  # overflows
+])
+def test_every_csv_error_starts_with_the_path(tmp_path, text, options):
+    path = write_csv(tmp_path, text)
+    desc = DatasetDescriptor(kind="csv", path=path, **{"split": 0.5, **options})
+    with pytest.raises((MalformedRow, DimensionMismatch)) as exc:
+        ingest_csv(desc)
+    assert str(exc.value).startswith(path)
+
+
 def test_empty_csv_file_has_no_label_column(tmp_path):
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, ""), split=0.5)
     with pytest.raises(MalformedRow, match="label column"):

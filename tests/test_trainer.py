@@ -1,4 +1,5 @@
 import csv
+import pickle
 from dataclasses import astuple
 
 import numpy as np
@@ -364,10 +365,47 @@ def test_divergence_at_test_evaluation_raises_with_diagnostic_record():
     ds = small_blobs(n=200)
     cfg = TrainConfig(base_batch=80, fraction=0.5, batch_mode="scaled", epochs=1, base_lr=1e200)
     model = Mlp.init([2, 16, 3], seed=0)
-    with pytest.raises(TrainingDiverged, match="test evaluation") as exc:
+    with pytest.raises(TrainingDiverged, match="logits contain non-finite entries") as exc:
         run_training(cfg, StrategyConfig(kind="random", fraction=0.5), ds, model)
     (last,) = exc.value.records
     assert last.step == 1 and np.isnan(last.test_accuracy)
+
+
+def test_overflow_in_the_update_is_divergence_not_a_warning():
+    # The first update overflows theta itself; the next forward pass reports it.
+    ds = small_blobs(n=200)
+    cfg = TrainConfig(base_batch=64, fraction=1.0, epochs=3, base_lr=1e308, seed=6)
+    model = Mlp.init([2, 8, 3], seed=7)
+    with pytest.raises(TrainingDiverged, match="epoch 0, step 1") as exc:
+        run_training(cfg, StrategyConfig(kind="random", fraction=1.0), ds, model)
+    assert np.isnan(exc.value.records[-1].train_loss)
+
+
+def test_an_overflowing_gram_matrix_is_divergence():
+    # Huge hidden activations keep the tape finite but overflow H @ H.T.
+    ds = small_blobs(n=200)
+    model = Mlp.init([2, 8, 3], seed=7)
+    (W0, b0), (W1, _) = model.layers
+    W0 *= 1e160
+    b0 *= 1e160
+    W1 *= 1e-155
+    cfg = TrainConfig(base_batch=64, fraction=0.5, epochs=2, seed=6)
+    with pytest.raises(TrainingDiverged, match="step 0: Gram matrix contains non-finite") as exc:
+        run_training(cfg, StrategyConfig(kind="grad_match"), ds, model)
+    (last,) = exc.value.records
+    assert last.step == 0 and np.isnan(last.train_loss)
+
+
+def test_training_diverged_pickles_with_its_records():
+    # A --jobs worker's divergence reaches the pool's caller pickled.
+    ds = small_blobs(n=200)
+    cfg = TrainConfig(base_batch=64, fraction=1.0, epochs=3, base_lr=1e200, seed=6)
+    with pytest.raises(TrainingDiverged) as exc:
+        run_training(cfg, StrategyConfig(kind="random"), ds, Mlp.init([2, 8, 3], seed=7))
+    copy = pickle.loads(pickle.dumps(exc.value))
+    assert str(copy) == str(exc.value)
+    np.testing.assert_equal(list(map(astuple, copy.records)),
+                            list(map(astuple, exc.value.records)))  # NaN equals NaN
 
 
 def test_metrics_csv_schema_and_roundtrip(tmp_path):
