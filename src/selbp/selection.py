@@ -19,11 +19,10 @@ preallocated arrays, in numpy alone: it keeps Q = K[:, I] L^-T transposed,
 so each new atom costs one matrix-vector product writing one contiguous row,
 and the correlations one rank-one step (a taken atom's is set to -inf). Rows
 I of Q are the Cholesky factor L of K[I, I], read off at the end; the weights
-L^-T z, z = L^-1 t_I, are solved for once (``batch_omp_factor`` is the greedy
-pass up to that solve). The greedy step picks the raw (signed) maximum
-correlation and stops once no available atom correlates positively with the
-residual. The textbook OMP on explicit vectors that it must agree with is
-``selbp.oracles.omp_dense_oracle``.
+L^-T z, z = L^-1 t_I, are solved for once. The greedy step picks the raw
+(signed) maximum correlation and stops once no available atom correlates
+positively with the residual. The textbook OMP on explicit vectors that it
+must agree with is ``selbp.oracles.omp_dense_oracle``.
 """
 
 import logging
@@ -133,26 +132,13 @@ class OmpConfig:
 def omp_gram(K, t, cfg):
     """Greedy sparse approximation of the target given only inner products.
 
-    Returns the raw selection (unnormalized weights; may hold fewer than
-    ``max_atoms`` atoms when correlations are exhausted or the next atom's
-    Cholesky pivot falls to ``PIVOT_TOL`` times its self-inner-product,
-    which marks a (near-)duplicate). Raises :class:`EmptySelection` when no
-    atom can be selected.
-    """
-    indices, L, z = batch_omp_factor(K, t, cfg)
-    # L^T is upper-triangular with a positive diagonal, so the LU inside
-    # solve exchanges no rows: this is back substitution.
-    gamma = np.linalg.solve(L.T, z)
-    return Selection(indices, gamma)
-
-
-def batch_omp_factor(K, t, cfg):
-    """The greedy pass of :func:`omp_gram`, before the final solve.
-
-    Returns ``(indices, L, z)``: the n selected atoms in selection order, the
-    n x n lower Cholesky factor L of ``K[I, I]`` and ``z = L^-1 t[I]``, so the
-    weights are ``L^-T z``. ``K`` must be symmetric, as every Gram matrix is.
-    Row j of L is row ``I[j]`` of Q, fixed once atom j enters.
+    Returns the atoms I in selection order with the raw weights solving
+    ``K[I, I] gamma = t[I]``: fewer than ``max_atoms`` when correlations run
+    out or the next atom's Cholesky pivot falls to ``PIVOT_TOL`` times its
+    self-inner-product (a near-duplicate). ``K`` must be symmetric, as every
+    Gram matrix is. Raises ``ValueError`` on a non-finite ``K`` or ``t`` before
+    taking an atom (a NaN correlation would let ``argmax`` retake one) and
+    :class:`EmptySelection` when no atom can be selected.
     """
     K = np.asarray(K, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -161,6 +147,10 @@ def batch_omp_factor(K, t, cfg):
         raise DimensionMismatch(f"K has shape {K.shape}, expected ({M}, {M})")
     m = cfg.max_atoms
     check_subset_size(m, M)
+    if not np.isfinite(K).all():
+        raise ValueError("Gram matrix contains non-finite entries")
+    if not np.isfinite(t).all():
+        raise ValueError("target contains non-finite entries")
 
     Qt = np.empty((m, M))  # Q transposed: atom n writes its contiguous row n
     z = np.empty(m)
@@ -194,7 +184,9 @@ def batch_omp_factor(K, t, cfg):
     if n == 0:
         raise EmptySelection("no atom correlates with the target")
     idx = np.array(indices)
-    return idx, np.tril(Qt[:n, idx].T), z[:n]
+    # Qt[:n, I] is L^T on and above its diagonal, which is positive, so the LU
+    # inside solve exchanges no rows: this is back substitution.
+    return Selection(idx, np.linalg.solve(np.triu(Qt[:n, idx]), z[:n]))
 
 
 def select_random(M, m, rng):
@@ -254,15 +246,12 @@ def select_grad_match(K, m, rng):
     product with the batch mean gradient; drops the atoms whose weight is not
     positive (clipped to zero, they would be backpropagated for nothing),
     then rescales so the weights sum to |I|. Falls back to random selection
-    when nothing correlates with the mean gradient or no weight is positive,
-    and raises ``ValueError`` on a non-finite ``K``. ``omp_gram`` checks that
-    m fits the batch before any OMP work.
+    when nothing correlates with the mean gradient or no weight is positive.
+    ``omp_gram`` checks m and refuses a non-finite ``K`` before any OMP work.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2:
         raise DimensionMismatch(f"K must be a square matrix, got shape {K.shape}")
-    if not np.isfinite(K).all():  # on NaN correlations OMP can take an atom twice
-        raise ValueError("Gram matrix contains non-finite entries")
     M = K.shape[0]
 
     try:

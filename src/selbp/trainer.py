@@ -184,7 +184,7 @@ def run_training(cfg, strategy, dataset, model):
 
     Each epoch's steps and test evaluation run with overflow silenced: a
     non-finite value anywhere in them surfaces as a ``ValueError`` at the next
-    forward pass (``BatchTape``'s check), grad_match's Gram matrix or the test
+    forward pass (``BatchTape``'s check), Batch-OMP (``omp_gram``'s) or the test
     evaluation (``accuracy``'s), raised as :class:`TrainingDiverged` with the
     records so far plus a NaN diagnostic row. Raises :class:`DimensionMismatch`
     when scaled mode's forward batch exceeds the training set.

@@ -15,7 +15,7 @@ from selbp.evalgrad import (
     gradient_error_experiment,
 )
 from selbp.model import Mlp, per_example_grads
-from selbp.selection import (OmpConfig, StrategyConfig, batch_omp_factor, select_grad_match,
+from selbp.selection import (OmpConfig, StrategyConfig, omp_gram, select_grad_match,
                              select_loss_based, select_random)
 from selbp.trainer import TrainConfig, cost_units, run_training
 
@@ -177,14 +177,13 @@ def test_experiment_deterministic():
 
 
 # Every function that takes a subset of m rows out of a forward batch of M,
-# called as (M, m); all of them defer to omp.check_subset_size.
+# called as (M, m); all of them defer to selection.check_subset_size.
 SUBSET_SIZE_SITES = {
     "select_random": lambda M, m: select_random(M, m, np.random.default_rng(0)),
     "select_loss_based": lambda M, m: select_loss_based(
         np.arange(M, dtype=float), m, None, np.random.default_rng(0)),
     "select_grad_match": lambda M, m: select_grad_match(np.eye(M), m, np.random.default_rng(0)),
-    "batch_omp_factor": lambda M, m: batch_omp_factor(np.eye(M), np.ones(M),
-                                                      OmpConfig(max_atoms=m)),
+    "omp_gram": lambda M, m: omp_gram(np.eye(M), np.ones(M), OmpConfig(max_atoms=m)),
     "cost_units": cost_units,
     "gradient_error_experiment": lambda M, m: gradient_error_experiment(
         *toy_problem(N=2 * M), {"full": None}, 1, M, m),

@@ -12,7 +12,7 @@ from selbp.oracles import (
     omp_oracle,
     residual_norm_sq,
 )
-from selbp.selection import OmpConfig, Selection, batch_omp_factor, gram_implicit, omp_gram
+from selbp.selection import OmpConfig, Selection, gram_implicit, omp_gram
 
 
 def mean_matching_instance(rng, M, D):
@@ -126,11 +126,28 @@ def test_gram_omp_on_a_real_tape_matches_dense_oracle(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_factor_is_lower_triangular_with_positive_diagonal(seed):
+    # The factor omp_gram solves through is the Cholesky factor of K[I, I]:
+    # the pivot test admits only atoms that keep that block positive definite.
     K = gram_implicit(real_tape(seed))
-    _, L, _ = batch_omp_factor(K, K.mean(axis=1), OmpConfig(max_atoms=8))
-    assert L.shape == (8, 8)
-    assert (np.triu(L, 1) == 0).all()
+    sel = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=8))
+    assert sel.size == 8
+    L = np.linalg.cholesky(K[np.ix_(sel.indices, sel.indices)])
     assert (np.diag(L) > 0).all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gram_matrix_is_refused_before_any_atom(bad):
+    # Without the check a NaN correlation lets argmax take an atom twice.
+    K = np.eye(4)
+    K[0, 1] = K[1, 0] = bad
+    with pytest.raises(ValueError, match="Gram matrix contains non-finite entries"):
+        omp_gram(K, np.ones(4), OmpConfig(max_atoms=3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_target_is_refused_before_any_atom(bad):
+    with pytest.raises(ValueError, match="target contains non-finite entries"):
+        omp_gram(np.eye(4), [1.0, bad, 1.0, 1.0], OmpConfig(max_atoms=3))
 
 
 def test_dense_single_atom_equal_to_target():

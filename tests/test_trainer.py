@@ -318,6 +318,26 @@ def test_cumulative_fields_non_decreasing():
     assert bp == sorted(bp) and cu == sorted(cu)
 
 
+# 400 training rows in batches of 64: six subsets of round(64 rho) rows and a
+# 16-row tail's of round(16 rho), so rho = 0.25 gives 16 six times and then 4.
+@pytest.mark.parametrize("kind,fraction,size_mean", [
+    ("random", 0.25, 100 / 7), ("loss_based", 0.25, 100 / 7), ("random", 1.0, 400 / 7)])
+def test_unit_weight_epochs_record_their_subset_sizes(kind, fraction, size_mean):
+    cfg = TrainConfig(base_batch=64, fraction=fraction, epochs=2, base_lr=0.05, seed=4)
+    records = run_training(cfg, StrategyConfig(kind=kind, fraction=fraction), small_blobs(),
+                           Mlp.init([2, 8, 3], seed=5))
+    assert [(r.selection_size_mean, r.weight_max) for r in records] == [(size_mean, 1.0)] * 2
+
+
+def test_grad_match_epochs_record_fewer_rows_and_weights_above_one():
+    cfg = TrainConfig(base_batch=64, fraction=0.25, epochs=2, base_lr=0.05, seed=4)
+    records = run_training(cfg, StrategyConfig(kind="grad_match", fraction=0.25), small_blobs(),
+                           Mlp.init([2, 8, 3], seed=5))
+    for r in records:
+        assert r.selection_size_mean <= 100 / 7  # OMP takes at most m atoms a step
+        assert r.weight_max > 1.0  # positive weights summing to |I|, not all equal
+
+
 def test_rolling_buffer_run_survives_a_batch_below_the_buffer(monkeypatch):
     # With two-row batches the losses soon fall below the whole rolling buffer.
     real = selbp.trainer.select_loss_based
