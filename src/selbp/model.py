@@ -8,6 +8,9 @@ experiments. Per-example losses use sum semantics (no 1/M inside P); the
 1/|I| mean appears only in the weighted gradient estimate.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,37 @@ ACTIVATIONS = ("relu", "tanh")
 
 # Rows per forward pass when a whole set is evaluated or its gradient summed.
 CHUNK_ROWS = 512
+
+# Multiply-adds from which a matmul runs beside another on the side thread;
+# below it the hand-off costs more than it saves. From it on, row halves of
+# the benchmark's 512-wide layers round exactly as the whole matmul does.
+SPLIT_MADDS = 2**24
+_side = {}  # pid -> the process's one side thread, made on first use; None: off
+
+
+def run_inline():
+    """Turn this process's side thread off, as each ``--jobs`` worker does."""
+    _side[os.getpid()] = None
+
+
+@contextmanager
+def beside(madds, fn, *args, **kwargs):
+    """Run ``fn(*args, **kwargs)``, one numpy call writing into arrays the caller
+    made (never selbp code), beside the with-block: on the side thread under the
+    caller's error state when it is on and ``madds``, the larger call's
+    multiply-adds, reaches ``SPLIT_MADDS``, else inline before the block. It
+    has finished, its error raised, when the block exits."""
+    if os.getpid() not in _side:  # setdefault: a racing first caller makes no second
+        _side.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="selbp-side"))
+    if _side[os.getpid()] is None or madds < SPLIT_MADDS:
+        fn(*args, **kwargs)
+        yield
+        return
+    side = _side[os.getpid()].submit(np.errstate(**np.geterr())(fn), *args, **kwargs)
+    try:
+        yield
+    finally:
+        side.result()
 
 
 def _act(z, kind):
@@ -103,7 +137,13 @@ def _forward(model, X):
     a = [X]
     last = len(model.layers) - 1
     for li, (W, b) in enumerate(model.layers):
-        z = np.matmul(a[-1], W.T)
+        h = a[-1].shape[0] // 2
+        if h * W.size < SPLIT_MADDS:
+            z = np.matmul(a[-1], W.T)
+        else:  # two row halves, the same two calls with the side thread on or off
+            z = np.empty((a[-1].shape[0], W.shape[0]))
+            with beside(h * W.size, np.matmul, a[-1][:h], W.T, out=z[:h]):
+                np.matmul(a[-1][h:], W.T, out=z[h:])
         z += b  # bitwise a[-1] @ W.T + b, without a second array
         a.append(z if li == last else _act(z, model.activation))
     return a[:-1], a[-1]
@@ -219,10 +259,12 @@ def weighted_backward(model, X, y, sel, *, tape):
     for li in range(len(model.layers) - 1, -1, -1):
         W, b = model.layers[li]
         pos -= W.size + b.size
-        np.matmul(delta.T, a[li], out=grad[pos : pos + W.size].reshape(W.shape))
         np.sum(delta, axis=0, out=grad[pos + W.size : pos + W.size + b.size])
-        if li > 0:
-            delta = _through_act(delta @ W, a[li], model.activation)
+        gW = grad[pos : pos + W.size].reshape(W.shape)
+        # delta^T a beside delta W; the input layer computes no delta W
+        with beside(delta.size * W.shape[1] if li else 0, np.matmul, delta.T, a[li], out=gW):
+            if li > 0:
+                delta = _through_act(delta @ W, a[li], model.activation)
     return grad
 
 

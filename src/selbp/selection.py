@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
+from .model import beside
 
 logger = logging.getLogger(__name__)
 
@@ -117,8 +118,9 @@ def gram_implicit(tape):
     # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
     # rank-k update with an exactly symmetric result; elementwise products
     # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
-    PPt = tape.P @ tape.P.T
-    K = tape.H @ tape.H.T
+    PPt = np.empty((tape.M, tape.M))
+    with beside(tape.M * tape.M * tape.D, np.matmul, tape.P, tape.P.T, out=PPt):
+        K = tape.H @ tape.H.T
     K *= PPt
     K += PPt
     return K
@@ -254,8 +256,10 @@ def select_grad_match(K, m, rng):
         raise DimensionMismatch(f"K must be a square matrix, got shape {K.shape}")
     M = K.shape[0]
 
+    with np.errstate(over="ignore", invalid="ignore"):  # omp_gram raises on a non-finite K or t
+        t = K.mean(axis=1)
     try:
-        raw = omp_gram(K, K.mean(axis=1), OmpConfig(max_atoms=m))
+        raw = omp_gram(K, t, OmpConfig(max_atoms=m))
         keep = raw.weights > 0.0
         if not keep.any():
             raise EmptySelection("no OMP weight is positive")

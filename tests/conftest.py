@@ -1,6 +1,10 @@
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import selbp.model
 from selbp.model import forward_tape, weighted_backward
 from selbp.selection import Selection
 from selbp.trainer import lr_at, sgd_update
@@ -31,3 +35,25 @@ def _plain_sgd(cfg, dataset, model):
 def plain_sgd_reference():
     """The plain-SGD reference that training at fraction 1 must equal bit for bit."""
     return _plain_sgd
+
+
+class CountingSide(ThreadPoolExecutor):
+    """A side thread that counts the calls handed to it."""
+
+    def __init__(self):
+        super().__init__(1, thread_name_prefix="selbp-side-test")
+        self.calls = 0
+
+    def submit(self, *args, **kwargs):
+        self.calls += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def side(monkeypatch):
+    """A fresh side thread that counts its calls; the process's own comes back
+    after the test, whether or not the test turned it off."""
+    spy = CountingSide()
+    monkeypatch.setitem(selbp.model._side, os.getpid(), spy)
+    yield spy
+    spy.shutdown()

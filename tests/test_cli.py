@@ -1,6 +1,7 @@
 import csv
 import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -89,6 +90,19 @@ def test_parallel_jobs_match_serial(tmp_path):
     r1 = sorted(map(tuple, (r.items() for r in read_summary_csv(out1 / "summary.csv"))))
     r2 = sorted(map(tuple, (r.items() for r in read_summary_csv(out2 / "summary.csv"))))
     assert r1 == r2
+
+
+def test_a_jobs_worker_runs_no_side_thread(tmp_path):
+    # At M = 256 the 512-wide layers' matmuls would use a side thread.
+    text = SMALL_GRID.replace("train.base_batch = 32", "train.base_batch = 256")
+    spec = load_config(write_cfg(tmp_path, text + "model.hidden = 512, 512\n"))
+    spec.out_dir = str(tmp_path)
+    dataset = selbp.cli.build_dataset(spec.dataset)
+    with selbp.cli._worker_pool(1) as pool:
+        row = pool.submit(selbp.cli._run_cell, spec, dataset, "random", 1.0, 0).result()
+        assert pool.submit(threading.active_count).result() == 1
+    assert row == selbp.cli._run_cell(spec, dataset, "random", 1.0, 0)
+    assert any(t.name.startswith("selbp-side") for t in threading.enumerate())
 
 
 def test_train_writes_its_resolved_config(tmp_path):

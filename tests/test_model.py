@@ -1,4 +1,6 @@
 import copy
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,15 +11,18 @@ from hypothesis import strategies as st
 from selbp.errors import DimensionMismatch
 from selbp.model import (
     ACTIVATIONS,
+    SPLIT_MADDS,
     BatchTape,
     Mlp,
     _forward,
     accuracy,
+    beside,
     forward_tape,
     per_example_grads,
+    run_inline,
     weighted_backward,
 )
-from selbp.selection import Selection
+from selbp.selection import Selection, gram_implicit
 from selbp.oracles import fd_gradient, gradient_check, proxy_error, proxy_identity
 
 
@@ -306,3 +311,108 @@ def test_whole_batch_backward_reads_the_tape_without_copying_it():
     tape = forward_tape(model, X, y)
     sel = full_selection(512)
     assert peak_traced_bytes(lambda: weighted_backward(model, X, y, sel, tape=tape)) < 8 * 2**20
+
+
+# ------------------------------------------------------------- side thread
+
+
+def step_outputs(model, X, y, X_test, y_test):
+    """Everything a step and an evaluation compute from the big matmuls."""
+    tape = forward_tape(model, X, y)
+    rng = np.random.default_rng(36)
+    idx = np.sort(rng.choice(X.shape[0], X.shape[0] // 4, replace=False))
+    subset = Selection(idx, rng.uniform(0.5, 2.0, idx.size))
+    return [*tape.inputs, tape.P, tape.losses,
+            weighted_backward(model, X, y, full_selection(X.shape[0]), tape=tape),
+            weighted_backward(model, X, y, subset, tape=tape),
+            gram_implicit(tape), np.array(accuracy(model, X_test, y_test))]
+
+
+@pytest.mark.parametrize("sizes, M, splits", [
+    ([64, 512, 512, 10], 512, True),  # the benchmark's net and batch
+    ([64, 512, 512, 10], 320, True),  # its partial last batch
+    ([8, 32, 5], 512, False),  # too small for any call to leave this thread
+])
+def test_side_thread_and_inline_give_the_same_bits(side, sizes, M, splits):
+    rng = np.random.default_rng(34)
+    N = M + 1100  # test rows: two whole chunks and a partial one
+    X, y = rng.standard_normal((N, sizes[0])), rng.integers(0, sizes[-1], N)
+    args = Mlp.init(sizes, seed=35), X[:M], y[:M], X[M:], y[M:]
+    threaded = step_outputs(*args)
+    assert (side.calls > 0) == splits
+    run_inline()
+    calls = side.calls
+    inline = step_outputs(*args)
+    assert side.calls == calls
+    for a, b in zip(threaded, inline, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("M", [512, 464, 320])  # a batch, accuracy's last chunk, the last batch
+def test_a_split_hidden_layer_equals_the_whole_matmul(M):
+    rng = np.random.default_rng(37)
+    W, b = Mlp.init([512, 512], seed=38).layers[0][0], rng.standard_normal(512)
+    a = np.maximum(rng.standard_normal((M, 512)), 0.0)
+    assert M // 2 * W.size >= SPLIT_MADDS
+    np.testing.assert_array_equal(_forward(Mlp(layers=[(W, b)]), a)[1], a @ W.T + b)
+
+
+def test_a_side_thread_error_reaches_the_caller_and_the_thread_serves_on(side):
+    ran = []
+    with pytest.raises(ValueError, match="matmul"):
+        with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((2, 3))):
+            ran.append(True)
+    assert ran and side.calls == 1
+    out = np.empty((2, 2))
+    with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((3, 2)), out=out):
+        pass
+    assert side.calls == 2 and (out == 3).all()
+
+
+def test_the_side_call_finishes_before_an_error_in_the_block_leaves_it(side):
+    A = np.ones((600, 600))
+    out = np.zeros_like(A)
+    with pytest.raises(KeyError):
+        with beside(SPLIT_MADDS, np.matmul, A, A, out=out):
+            raise KeyError("block")
+    assert side.calls == 1 and (out == 600).all()
+
+
+def test_side_work_runs_under_the_callers_error_state(side):
+    big = np.full(4, 1e200)
+    out = np.empty(4)
+    with np.errstate(over="ignore"):  # a RuntimeWarning would be an error here
+        with beside(SPLIT_MADDS, np.multiply, big, big, out=out):
+            pass
+    assert np.isinf(out).all()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        with beside(SPLIT_MADDS, np.multiply, big, big, out=out):
+            pass
+    assert side.calls == 2
+
+
+def test_callers_on_several_threads_share_the_side_thread_safely(side):
+    # Four caller threads, switching as often as the interpreter allows, each
+    # hand the side thread calls on their own arrays; a call waited on by the
+    # wrong caller, or lost, leaves some caller's output unfinished.
+    def caller(k, outs):
+        x = np.arange(64.0) + k
+        for _ in range(50):
+            out = np.zeros(64)
+            with beside(SPLIT_MADDS, np.multiply, x, 2.0, out=out):
+                pass
+            outs.append(np.array_equal(out, 2 * x))
+
+    results = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k, results[k])) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 50 and all(r) for r in results) and side.calls > 0

@@ -280,6 +280,16 @@ def test_grad_match_falls_back_to_random_on_zero_gram(monkeypatch):
     np.testing.assert_array_equal(sel.weights, np.ones(2))
 
 
+def test_grad_match_refuses_a_gram_with_inf_and_minus_inf_in_one_row_without_a_warning():
+    # The row mean of (inf, -inf) is NaN; under filterwarnings = error a
+    # RuntimeWarning from taking it would be the exception instead.
+    K = np.eye(4)
+    K[0, 1] = np.inf
+    K[0, 3] = K[2, 3] = -np.inf
+    with pytest.raises(ValueError, match="Gram matrix contains non-finite entries"):
+        select_grad_match(K, 2, np.random.default_rng(12))
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3,), ()])
 def test_grad_match_rejects_a_non_square_gram(shape):
     with pytest.raises(DimensionMismatch):

@@ -401,6 +401,17 @@ def test_overflow_in_the_update_is_divergence_not_a_warning():
     assert np.isnan(exc.value.records[-1].train_loss)
 
 
+def test_overflow_on_the_side_thread_is_divergence_not_a_warning(side):
+    # After the first update the weights are about 1e200, so at step 1 the
+    # 512 x 512 layer's matmul overflows, half of it on the side thread, which
+    # must run under run_training's silenced error state, not numpy's default.
+    ds = small_blobs(n=800)  # 640 training rows: steps of 256, 256 and 128 rows
+    cfg = TrainConfig(base_batch=256, fraction=1.0, epochs=2, base_lr=1e200, seed=6)
+    with pytest.raises(TrainingDiverged, match="epoch 0, step 1"):
+        run_training(cfg, StrategyConfig(kind="random"), ds, Mlp.init([2, 512, 512, 3], seed=7))
+    assert side.calls > 0
+
+
 def test_an_overflowing_gram_matrix_is_divergence():
     # Huge hidden activations keep the tape finite but overflow H @ H.T.
     ds = small_blobs(n=200)
