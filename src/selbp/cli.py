@@ -30,7 +30,7 @@ from . import evalgrad
 from .config import dump_config, load_config
 from .data import build_dataset
 from .errors import ParseError, SelbpError, TrainingDiverged
-from .model import Mlp, run_inline
+from .model import Mlp, _run_inline
 from .trainer import METRICS_FIELDS, run_training
 
 logger = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ def _worker_pool(jobs):
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=run_inline) as pool:
+                                 initializer=_run_inline) as pool:
             yield pool
     finally:
         for var, value in saved.items():

@@ -23,13 +23,26 @@ ACTIVATIONS = ("relu", "tanh")
 CHUNK_ROWS = 512
 
 # Multiply-adds from which a matmul runs beside another on the side thread;
-# below it the hand-off costs more than it saves. From it on, row halves of
-# the benchmark's 512-wide layers round exactly as the whole matmul does.
+# below it the hand-off costs more than it saves. _forward splits a layer's
+# matmul into row halves from it on; on the benchmark's 512-wide layers the
+# halves were seen to round exactly as the whole matmul (numpy 2.4's OpenBLAS
+# 0.3.31), but other shapes or BLAS builds may differ from it in the last bit.
 SPLIT_MADDS = 2**24
+# The variables OpenBLAS reads its thread count from, in its order.
+OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _side = {}  # pid -> the process's one side thread, made on first use; None: off
 
 
-def run_inline():
+def _side_thread_helps():
+    """Whether a side thread adds a core: BLAS runs one thread (OpenBLAS takes
+    the first positive variable, else one per usable CPU) and a second CPU is
+    free. A multi-threaded BLAS already spreads each call over the cores."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    counts = (os.environ.get(var, "").strip() for var in OPENBLAS_THREAD_VARS)
+    return cpus > 1 and next((int(n) for n in counts if n.isdigit() and int(n) > 0), cpus) == 1
+
+
+def _run_inline():
     """Turn this process's side thread off, as each ``--jobs`` worker does."""
     _side[os.getpid()] = None
 
@@ -42,7 +55,8 @@ def beside(madds, fn, *args, **kwargs):
     multiply-adds, reaches ``SPLIT_MADDS``, else inline before the block. It
     has finished, its error raised, when the block exits."""
     if os.getpid() not in _side:  # setdefault: a racing first caller makes no second
-        _side.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="selbp-side"))
+        _side.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="selbp-side")
+                         if _side_thread_helps() else None)
     if _side[os.getpid()] is None or madds < SPLIT_MADDS:
         fn(*args, **kwargs)
         yield

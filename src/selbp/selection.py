@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
-from .model import beside
 
 logger = logging.getLogger(__name__)
 
@@ -118,9 +117,8 @@ def gram_implicit(tape):
     # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
     # rank-k update with an exactly symmetric result; elementwise products
     # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
-    PPt = np.empty((tape.M, tape.M))
-    with beside(tape.M * tape.M * tape.D, np.matmul, tape.P, tape.P.T, out=PPt):
-        K = tape.H @ tape.H.T
+    PPt = tape.P @ tape.P.T
+    K = tape.H @ tape.H.T
     K *= PPt
     K += PPt
     return K

@@ -1,4 +1,5 @@
 import copy
+import os
 import sys
 import threading
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selbp.model
 from selbp.errors import DimensionMismatch
 from selbp.model import (
     ACTIVATIONS,
@@ -15,11 +17,12 @@ from selbp.model import (
     BatchTape,
     Mlp,
     _forward,
+    _run_inline,
+    _side_thread_helps,
     accuracy,
     beside,
     forward_tape,
     per_example_grads,
-    run_inline,
     weighted_backward,
 )
 from selbp.selection import Selection, gram_implicit
@@ -340,12 +343,42 @@ def test_side_thread_and_inline_give_the_same_bits(side, sizes, M, splits):
     args = Mlp.init(sizes, seed=35), X[:M], y[:M], X[M:], y[M:]
     threaded = step_outputs(*args)
     assert (side.calls > 0) == splits
-    run_inline()
+    _run_inline()
     calls = side.calls
     inline = step_outputs(*args)
     assert side.calls == calls
     for a, b in zip(threaded, inline, strict=True):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("env, cpus, helps", [
+    ({}, 2, False),  # BLAS runs a thread per CPU already
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),  # no second CPU to run on
+    ({}, 1, False),
+])
+def test_a_side_thread_runs_only_beside_a_one_thread_blas_with_a_cpu_to_spare(
+        monkeypatch, env, cpus, helps):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(selbp.model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert _side_thread_helps() == helps
+
+
+def test_a_process_whose_blas_is_threaded_runs_every_call_inline(monkeypatch):
+    monkeypatch.setitem(selbp.model._side, os.getpid(), None)
+    monkeypatch.delitem(selbp.model._side, os.getpid())  # as in a fresh process
+    monkeypatch.setattr(selbp.model, "_side_thread_helps", lambda: False)
+    out = np.empty((2, 2))
+    with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((3, 2)), out=out):
+        assert (out == 3).all()  # run before the block, on this thread
+    assert selbp.model._side[os.getpid()] is None
 
 
 @pytest.mark.parametrize("M", [512, 464, 320])  # a batch, accuracy's last chunk, the last batch
