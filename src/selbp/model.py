@@ -35,8 +35,8 @@ _side = {}  # pid -> the process's one side thread, made on first use; None: off
 
 def _side_thread_helps():
     """Whether a side thread adds a core: BLAS runs one thread (OpenBLAS takes
-    the first positive variable, else one per usable CPU) and a second CPU is
-    free. A multi-threaded BLAS already spreads each call over the cores."""
+    the first positive variable, else one per usable CPU) and the process may
+    use a second CPU. A multi-threaded BLAS already spreads each call over the cores."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     counts = (os.environ.get(var, "").strip() for var in OPENBLAS_THREAD_VARS)
     return cpus > 1 and next((int(n) for n in counts if n.isdigit() and int(n) > 0), cpus) == 1
