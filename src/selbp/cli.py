@@ -30,14 +30,14 @@ from . import evalgrad
 from .config import dump_config, load_config
 from .data import build_dataset
 from .errors import ParseError, SelbpError, TrainingDiverged
-from .model import Mlp, _run_inline
+from .model import OPENBLAS_THREAD_VARS, Mlp, _run_inline
 from .trainer import METRICS_FIELDS, run_training
 
 logger = logging.getLogger(__name__)
 
 SUMMARY_FIELDS = ["strategy", "fraction", "seed", "max_test_accuracy", "cost_units_total"]
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREAD_VARS = (*OPENBLAS_THREAD_VARS, "MKL_NUM_THREADS")
 
 
 def write_csv(path, fields, rows):

@@ -22,11 +22,11 @@ ACTIVATIONS = ("relu", "tanh")
 # Rows per forward pass when a whole set is evaluated or its gradient summed.
 CHUNK_ROWS = 512
 
-# Multiply-adds from which a matmul runs beside another on the side thread;
-# below it the hand-off costs more than it saves. _forward splits a layer's
-# matmul into row halves from it on; on the benchmark's 512-wide layers the
-# halves were seen to round exactly as the whole matmul (numpy 2.4's OpenBLAS
-# 0.3.31), but other shapes or BLAS builds may differ from it in the last bit.
+# Multiply-adds from which beside's matmul runs on the side thread, below which
+# the hand-off costs more than it saves: the first row half of a layer's forward
+# matmul, split when a half reaches it, and each backward delta^T a. The halves
+# were seen to round as the whole matmul on the benchmark's 512-wide layers (numpy
+# 2.4's OpenBLAS 0.3.31); other shapes or BLAS builds may differ in the last bit.
 SPLIT_MADDS = 2**24
 # The variables OpenBLAS reads its thread count from, in its order.
 OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -48,20 +48,19 @@ def _run_inline():
 
 
 @contextmanager
-def beside(madds, fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)``, one numpy call writing into arrays the caller
-    made (never selbp code), beside the with-block: on the side thread under the
-    caller's error state when it is on and ``madds``, the larger call's
-    multiply-adds, reaches ``SPLIT_MADDS``, else inline before the block. It
-    has finished, its error raised, when the block exits."""
+def beside(a, b, out):
+    """Run ``np.matmul(a, b, out=out)`` beside the with-block: on the side
+    thread under the caller's error state when it is on and the call's
+    multiply-adds reach ``SPLIT_MADDS``, else inline before the block. It has
+    finished, its error raised, when the block exits."""
     if os.getpid() not in _side:  # setdefault: a racing first caller makes no second
         _side.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="selbp-side")
                          if _side_thread_helps() else None)
-    if _side[os.getpid()] is None or madds < SPLIT_MADDS:
-        fn(*args, **kwargs)
+    if _side[os.getpid()] is None or a.shape[0] * a.shape[1] * b.shape[1] < SPLIT_MADDS:
+        np.matmul(a, b, out=out)
         yield
         return
-    side = _side[os.getpid()].submit(np.errstate(**np.geterr())(fn), *args, **kwargs)
+    side = _side[os.getpid()].submit(np.errstate(**np.geterr())(np.matmul), a, b, out=out)
     try:
         yield
     finally:
@@ -151,13 +150,11 @@ def _forward(model, X):
     a = [X]
     last = len(model.layers) - 1
     for li, (W, b) in enumerate(model.layers):
-        h = a[-1].shape[0] // 2
-        if h * W.size < SPLIT_MADDS:
-            z = np.matmul(a[-1], W.T)
-        else:  # two row halves, the same two calls with the side thread on or off
-            z = np.empty((a[-1].shape[0], W.shape[0]))
-            with beside(h * W.size, np.matmul, a[-1][:h], W.T, out=z[:h]):
-                np.matmul(a[-1][h:], W.T, out=z[h:])
+        # Row halves from SPLIT_MADDS on, else an empty top half: the whole matmul here.
+        h = a[-1].shape[0] // 2 if a[-1].shape[0] // 2 * W.size >= SPLIT_MADDS else 0
+        z = np.empty((a[-1].shape[0], W.shape[0]))
+        with beside(a[-1][:h], W.T, z[:h]):
+            np.matmul(a[-1][h:], W.T, out=z[h:])
         z += b  # bitwise a[-1] @ W.T + b, without a second array
         a.append(z if li == last else _act(z, model.activation))
     return a[:-1], a[-1]
@@ -273,10 +270,8 @@ def weighted_backward(model, X, y, sel, *, tape):
     for li in range(len(model.layers) - 1, -1, -1):
         W, b = model.layers[li]
         pos -= W.size + b.size
-        np.sum(delta, axis=0, out=grad[pos + W.size : pos + W.size + b.size])
-        gW = grad[pos : pos + W.size].reshape(W.shape)
-        # delta^T a beside delta W; the input layer computes no delta W
-        with beside(delta.size * W.shape[1] if li else 0, np.matmul, delta.T, a[li], out=gW):
+        with beside(delta.T, a[li], grad[pos : pos + W.size].reshape(W.shape)):
+            np.sum(delta, axis=0, out=grad[pos + W.size : pos + W.size + b.size])
             if li > 0:
                 delta = _through_act(delta @ W, a[li], model.activation)
     return grad

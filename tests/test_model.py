@@ -375,29 +375,52 @@ def test_a_process_whose_blas_is_threaded_runs_every_call_inline(monkeypatch):
     monkeypatch.setitem(selbp.model._side, os.getpid(), None)
     monkeypatch.delitem(selbp.model._side, os.getpid())  # as in a fresh process
     monkeypatch.setattr(selbp.model, "_side_thread_helps", lambda: False)
-    out = np.empty((2, 2))
-    with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((3, 2)), out=out):
-        assert (out == 3).all()  # run before the block, on this thread
+    A = np.ones((256, 256))  # 2^24 multiply-adds: big enough for a side thread
+    out = np.empty_like(A)
+    with beside(A, A, out):
+        assert (out == 256).all()  # run before the block, on this thread
     assert selbp.model._side[os.getpid()] is None
 
 
-@pytest.mark.parametrize("M", [512, 464, 320])  # a batch, accuracy's last chunk, the last batch
-def test_a_split_hidden_layer_equals_the_whole_matmul(M):
+@pytest.mark.parametrize("sizes, M, splits", [
+    pytest.param([512, 512], 512, True, id="512"),  # a batch
+    pytest.param([512, 512], 464, True, id="464"),  # accuracy's last chunk
+    pytest.param([512, 512], 320, True, id="320"),  # the last batch
+    # Below SPLIT_MADDS: an empty top half, and the whole matmul in one call.
+    pytest.param([3, 10, 4], 5, False, id="3-10-4"),
+    pytest.param([64, 512], 512, False, id="input-layer"),  # the benchmark net's input layer
+    pytest.param([512, 10], 512, False, id="head"),  # and its head
+])
+def test_a_split_hidden_layer_equals_the_whole_matmul(sizes, M, splits):
     rng = np.random.default_rng(37)
-    W, b = Mlp.init([512, 512], seed=38).layers[0][0], rng.standard_normal(512)
-    a = np.maximum(rng.standard_normal((M, 512)), 0.0)
-    assert M // 2 * W.size >= SPLIT_MADDS
-    np.testing.assert_array_equal(_forward(Mlp(layers=[(W, b)]), a)[1], a @ W.T + b)
+    layers = [(W, rng.standard_normal(W.shape[0])) for W, _ in Mlp.init(sizes, seed=38).layers]
+    a = np.maximum(rng.standard_normal((M, sizes[0])), 0.0)
+    assert all((M // 2 * W.size >= SPLIT_MADDS) == splits for W, _ in layers)
+    want = a
+    for li, (W, b) in enumerate(layers):
+        want = (want if li == 0 else np.maximum(want, 0.0)) @ W.T + b
+    np.testing.assert_array_equal(_forward(Mlp(layers=layers), a)[1], want)
 
 
-def test_a_side_thread_error_reaches_the_caller_and_the_thread_serves_on(side):
+def test_the_side_thread_gets_the_large_forward_halves_and_weight_gradients(side):
+    model, X, y = large_net_batch(512)
+    tape = forward_tape(model, X, y)
+    assert side.calls == 1  # the 512 x 512 layer's first row half
+    weighted_backward(model, X, y, full_selection(512), tape=tape)
+    assert side.calls == 3  # that layer's delta^T a and the input layer's delta^T X
+    weighted_backward(model, X, y, Selection(np.arange(128), np.ones(128)), tape=tape)
+    assert side.calls == 4  # the 512 x 512 layer's delta^T a alone
+
+
+def test_a_side_thread_error_reaches_the_caller_and_the_thread_serves_on(side, monkeypatch):
+    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
     ran = []
     with pytest.raises(ValueError, match="matmul"):
-        with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((2, 3))):
+        with beside(np.ones((2, 3)), np.ones((2, 3)), np.empty((2, 3))):
             ran.append(True)
     assert ran and side.calls == 1
     out = np.empty((2, 2))
-    with beside(SPLIT_MADDS, np.matmul, np.ones((2, 3)), np.ones((3, 2)), out=out):
+    with beside(np.ones((2, 3)), np.ones((3, 2)), out):
         pass
     assert side.calls == 2 and (out == 3).all()
 
@@ -406,33 +429,37 @@ def test_the_side_call_finishes_before_an_error_in_the_block_leaves_it(side):
     A = np.ones((600, 600))
     out = np.zeros_like(A)
     with pytest.raises(KeyError):
-        with beside(SPLIT_MADDS, np.matmul, A, A, out=out):
+        with beside(A, A, out):
             raise KeyError("block")
     assert side.calls == 1 and (out == 600).all()
 
 
-def test_side_work_runs_under_the_callers_error_state(side):
-    big = np.full(4, 1e200)
-    out = np.empty(4)
+def test_side_work_runs_under_the_callers_error_state(side, monkeypatch):
+    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
+    big = np.full((2, 2), 1e200)
+    out = np.empty((2, 2))
     with np.errstate(over="ignore"):  # a RuntimeWarning would be an error here
-        with beside(SPLIT_MADDS, np.multiply, big, big, out=out):
+        with beside(big, big, out):
             pass
     assert np.isinf(out).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        with beside(SPLIT_MADDS, np.multiply, big, big, out=out):
+        with beside(big, big, out):
             pass
     assert side.calls == 2
 
 
-def test_callers_on_several_threads_share_the_side_thread_safely(side):
+def test_callers_on_several_threads_share_the_side_thread_safely(side, monkeypatch):
     # Four caller threads, switching as often as the interpreter allows, each
     # hand the side thread calls on their own arrays; a call waited on by the
     # wrong caller, or lost, leaves some caller's output unfinished.
+    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
+    two = 2.0 * np.eye(8)
+
     def caller(k, outs):
-        x = np.arange(64.0) + k
+        x = (np.arange(64.0) + k).reshape(8, 8)
         for _ in range(50):
-            out = np.zeros(64)
-            with beside(SPLIT_MADDS, np.multiply, x, 2.0, out=out):
+            out = np.zeros((8, 8))
+            with beside(x, two, out):
                 pass
             outs.append(np.array_equal(out, 2 * x))
 
