@@ -30,7 +30,7 @@ from . import evalgrad
 from .config import dump_config, load_config
 from .data import build_dataset
 from .errors import ParseError, SelbpError, TrainingDiverged
-from .model import OPENBLAS_THREAD_VARS, Mlp, _run_inline
+from .model import OPENBLAS_THREAD_VARS, Mlp
 from .trainer import METRICS_FIELDS, run_training
 
 logger = logging.getLogger(__name__)
@@ -73,14 +73,13 @@ def _run_cell(spec, dataset, kind, fraction, seed):
 
 @contextmanager
 def _worker_pool(jobs):
-    """``jobs`` worker processes with one BLAS thread and no side thread each,
-    so they use ``jobs`` cores. Spawned, not forked, each starts a fresh numpy
-    under the thread variables, which are set only while the pool lives."""
+    """``jobs`` worker processes, each with one BLAS thread and, started by
+    ``multiprocessing``, no side thread, so they use ``jobs`` cores. Spawned, not
+    forked, each starts a fresh numpy under the thread variables, set only while the pool lives."""
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_run_inline) as pool:
+        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
             yield pool
     finally:
         for var, value in saved.items():

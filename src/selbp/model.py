@@ -9,6 +9,7 @@ experiments. Per-example losses use sum semantics (no 1/M inside P); the
 """
 
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,16 +36,15 @@ _side = {}  # pid -> the process's one side thread, made on first use; None: off
 
 def _side_thread_helps():
     """Whether a side thread adds a core: BLAS runs one thread (OpenBLAS takes
-    the first positive variable, else one per usable CPU) and the process may
-    use a second CPU. A multi-threaded BLAS already spreads each call over the cores."""
+    the first positive variable, else one per usable CPU), the process may use
+    a second CPU, and ``multiprocessing`` did not start it. A multi-threaded BLAS
+    already spreads each call over the cores, and a pool's workers share them."""
+    mp = sys.modules.get("multiprocessing")  # loaded in every child; not loaded here
+    if mp is not None and mp.parent_process() is not None:
+        return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     counts = (os.environ.get(var, "").strip() for var in OPENBLAS_THREAD_VARS)
     return cpus > 1 and next((int(n) for n in counts if n.isdigit() and int(n) > 0), cpus) == 1
-
-
-def _run_inline():
-    """Turn this process's side thread off, as each ``--jobs`` worker does."""
-    _side[os.getpid()] = None
 
 
 @contextmanager

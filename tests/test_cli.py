@@ -11,6 +11,7 @@ import selbp.cli
 import selbp.oracles
 from selbp.cli import BLAS_THREAD_VARS, main
 from selbp.config import load_config, parse_config_text
+from selbp.selection import Selection
 
 SMALL_GRID = """
 dataset.kind = blobs
@@ -251,6 +252,23 @@ def test_selftest_reports_a_wrong_gram(monkeypatch, capsys):
     # Both checks that read gram_implicit catch it; the other two still pass.
     assert "[FAIL] gram implicit vs explicit" in out
     assert "[FAIL] last-layer proxy identity" in out and out.count("[ok]") == 2
+
+
+def swap_first_atoms(sel):
+    order = np.r_[1, 0, 2:sel.size] if sel.size > 1 else np.arange(sel.size)
+    return Selection(sel.indices[order], sel.weights[order])
+
+
+@pytest.mark.parametrize("wrong, detail", [
+    (swap_first_atoms, "index sequences differ"),
+    (lambda sel: Selection(sel.indices, 1.001 * sel.weights), "weights differ beyond 1e-8"),
+], ids=["swapped-atoms", "perturbed-weights"])
+def test_selftest_reports_a_wrong_omp(monkeypatch, capsys, wrong, detail):
+    right = selbp.oracles.omp_gram
+    monkeypatch.setattr(selbp.oracles, "omp_gram", lambda K, t, cfg: wrong(right(K, t, cfg)))
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] gram-OMP vs dense oracle: {detail}" in out and out.count("[ok]") == 3
 
 
 def test_config_error_exit_code(tmp_path, capsys):

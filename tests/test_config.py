@@ -87,6 +87,7 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("train.base_lr = 0\n", "line 3: bad value for 'train.base_lr'"),
         ("train.momentum = 1\n", "line 3: bad value for 'train.momentum'"),
         ("train.weight_decay = -1e-4\n", "line 3: bad value for 'train.weight_decay'"),
+        ("train.nesterov = maybe\n", "line 3: bad value for 'train.nesterov': not a boolean"),
         # A non-finite number is refused by the parser of every float field.
         *((f"{key} = {value}\n", f"line 3: bad value for {key!r}: not a finite number")
           for key in ("dataset.separation", "dataset.noise", "train.decay_factor")

@@ -272,3 +272,6 @@ def test_build_dataset_dispatch():
     assert build_dataset(DatasetDescriptor(kind="two_moons", n=30)).num_classes == 2
     with pytest.raises(ValueError):
         DatasetDescriptor(kind="mnist")
+    for split in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="split must be in"):
+            DatasetDescriptor(kind="blobs", split=split)

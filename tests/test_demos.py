@@ -2,7 +2,8 @@
 package source, from an empty directory, writing no files; a process that
 uses the package loads only what the package needs; the package exports
 exactly what the README and the demos import from it; no module imports a
-name it never uses; and every file the package opens is opened as UTF-8."""
+name it never uses or another module's private name; and every file the
+package opens is opened as UTF-8."""
 
 import ast
 import os
@@ -50,6 +51,17 @@ def test_module_uses_every_name_it_imports(module):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"imported but never used: {sorted(imported - used)}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another(module):
+    # A module's private name is its own decision; another module uses its public ones.
+    private = [f"{module.name}:{node.lineno} {alias.name}"
+               for node in ast.walk(ast.parse(module.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("selbp"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_every_open_names_its_encoding():
@@ -121,3 +133,17 @@ print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
 def test_a_process_loads_only_numpys_blas(tmp_path):
     # SciPy would map a second BLAS beside numpy's: the package never imports it.
     assert run_python(["-c", ONE_BLAS_PROBE], tmp_path).strip() == "[]"
+
+
+SIDE_RULE_PROBE = """
+import os, sys
+import numpy as np
+from selbp.model import Mlp, _side, forward_tape
+forward_tape(Mlp.init([2, 3]), np.ones((4, 2)), np.zeros(4, int))
+print(os.getpid() in _side, "multiprocessing" in sys.modules)
+"""
+
+
+def test_the_side_thread_rule_loads_no_multiprocessing(tmp_path):
+    # The rule reads multiprocessing only where the process has loaded it already.
+    assert run_python(["-c", SIDE_RULE_PROBE], tmp_path).split() == ["True", "False"]

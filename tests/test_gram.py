@@ -127,5 +127,10 @@ def test_gram_row_means_match_explicit_mean_gradient():
 def test_tape_validation():
     with pytest.raises(DimensionMismatch):
         BatchTape(H=np.zeros((3, 2)), P=np.zeros((2, 2)), losses=np.zeros(3))
+    for H, P, losses in ((np.zeros(3), np.zeros((3, 2)), np.zeros(3)),
+                         (np.zeros((3, 2)), np.zeros((3, 2, 1)), np.zeros(3)),
+                         (np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)))):
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            BatchTape(H=H, P=P, losses=losses)
     with pytest.raises(ValueError):
         BatchTape(H=np.full((2, 2), np.nan), P=np.zeros((2, 2)), losses=np.zeros(2))

@@ -1,4 +1,5 @@
 import copy
+import multiprocessing
 import os
 import sys
 import threading
@@ -17,7 +18,6 @@ from selbp.model import (
     BatchTape,
     Mlp,
     _forward,
-    _run_inline,
     _side_thread_helps,
     accuracy,
     beside,
@@ -240,6 +240,11 @@ def test_param_roundtrip_and_validation():
         model.set_params(theta[:-1])
     with pytest.raises(DimensionMismatch):
         forward_tape(model, np.zeros((3, 5)), np.zeros(3, dtype=int))
+    with pytest.raises(DimensionMismatch, match="labels do not match"):
+        forward_tape(model, np.zeros((3, 2)), np.zeros(2, dtype=int))
+    for label in (-1, 3):  # three classes
+        with pytest.raises(DimensionMismatch, match="label outside"):
+            forward_tape(model, np.zeros((3, 2)), np.array([0, label, 0]))
 
 
 @pytest.mark.parametrize("sizes", [[2, 0, 3], [0, 4, 3], [2, 4, 0]])
@@ -336,14 +341,14 @@ def step_outputs(model, X, y, X_test, y_test):
     ([64, 512, 512, 10], 320, True),  # its partial last batch
     ([8, 32, 5], 512, False),  # too small for any call to leave this thread
 ])
-def test_side_thread_and_inline_give_the_same_bits(side, sizes, M, splits):
+def test_side_thread_and_inline_give_the_same_bits(side, monkeypatch, sizes, M, splits):
     rng = np.random.default_rng(34)
     N = M + 1100  # test rows: two whole chunks and a partial one
     X, y = rng.standard_normal((N, sizes[0])), rng.integers(0, sizes[-1], N)
     args = Mlp.init(sizes, seed=35), X[:M], y[:M], X[M:], y[M:]
     threaded = step_outputs(*args)
     assert (side.calls > 0) == splits
-    _run_inline()
+    monkeypatch.setitem(selbp.model._side, os.getpid(), None)
     calls = side.calls
     inline = step_outputs(*args)
     assert side.calls == calls
@@ -369,6 +374,15 @@ def test_a_side_thread_runs_only_beside_a_one_thread_blas_with_a_cpu_to_spare(
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(selbp.model.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert _side_thread_helps() == helps
+
+
+def test_a_process_that_multiprocessing_started_runs_no_side_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(selbp.model.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert _side_thread_helps()
+    parent = multiprocessing.current_process()  # a child's parent_process() is not None
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: parent)
+    assert not _side_thread_helps()
 
 
 def test_a_process_whose_blas_is_threaded_runs_every_call_inline(monkeypatch):

@@ -242,3 +242,7 @@ def test_input_validation():
         Selection([1, 1], [1.0, 1.0])
     with pytest.raises(EmptySelection):
         Selection([], [])
+    with pytest.raises(DimensionMismatch, match="2 indices but 1 weights"):
+        Selection([0, 1], [1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        Selection([2, -1], [1.0, 1.0])

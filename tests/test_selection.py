@@ -231,6 +231,12 @@ def test_loss_based_rolling_buffer_property(history, batch, below, data, seed):
         np.testing.assert_array_equal(sel.indices, within.indices)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_loss_based_rejects_non_finite_losses(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        select_loss_based(np.array([1.0, bad, 2.0]), 1, None, np.random.default_rng(0))
+
+
 def test_loss_based_deterministic_given_seed():
     losses = np.array([0.1, 5.0, 2.0, 0.4, 1.0])
     a = select_loss_based(losses, 2, None, np.random.default_rng(8))

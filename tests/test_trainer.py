@@ -464,6 +464,8 @@ def test_config_validation():
         TrainConfig(label_noise=1.0)
     with pytest.raises(ValueError):
         TrainConfig(schedule="linear")
+    with pytest.raises(ValueError, match="batch_mode"):
+        TrainConfig(batch_mode="doubled")
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="base_batch"):
