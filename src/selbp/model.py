@@ -24,10 +24,10 @@ ACTIVATIONS = ("relu", "tanh")
 CHUNK_ROWS = 512
 
 # Multiply-adds from which beside's matmul runs on the side thread, below which
-# the hand-off costs more than it saves: the first row half of a layer's forward
-# matmul, split when a half reaches it, and each backward delta^T a. The halves
-# were seen to round as the whole matmul on the benchmark's 512-wide layers (numpy
-# 2.4's OpenBLAS 0.3.31); other shapes or BLAS builds may differ in the last bit.
+# the hand-off costs more than it saves: a layer's forward row half and the Gram's
+# off-diagonal HH^T block, each split off once it reaches it, and each backward
+# delta^T a. Splits rounded as whole products on the benchmark's net, the Gram's at
+# M a multiple of 16 (numpy 2.4's OpenBLAS 0.3.31); elsewhere the last bit may differ.
 SPLIT_MADDS = 2**24
 # The variables OpenBLAS reads its thread count from, in its order.
 OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -193,7 +193,7 @@ class BatchTape:
     inputs: tuple = ()
 
     def __post_init__(self):
-        # Contiguous rows let gram_implicit's A @ A.T run as one symmetric update.
+        # Contiguous rows let gram_implicit's blocks A @ A.T run as symmetric updates.
         H = np.ascontiguousarray(self.H, dtype=np.float64)
         P = np.ascontiguousarray(self.P, dtype=np.float64)
         losses = np.asarray(self.losses, dtype=np.float64)

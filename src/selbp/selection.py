@@ -10,7 +10,7 @@ of three strategies behind one interface:
 * ``select_grad_match`` — Gram-OMP approximation of the minibatch mean
   gradient using last-layer inner products, keeping the positive weights
   rescaled to sum to the selection size; ``gram_implicit`` builds those
-  inner products from a forward tape.
+  inner products from a forward tape, splitting a large batch into row halves.
 
 ``omp_gram``, grad_match's pursuit, runs entirely on inner products: the
 Gram matrix K = A^T A of the atoms and the correlation vector t = A^T b with
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
+from .model import SPLIT_MADDS, beside
 
 logger = logging.getLogger(__name__)
 
@@ -114,11 +115,19 @@ def gram_implicit(tape):
     so K = HH^T o PP^T + PP^T with o elementwise, at O(M^2 (D + C)) flops;
     ``selbp.oracles.gram_explicit`` is the brute-force reference.
     """
-    # On the tape's contiguous arrays numpy runs A @ A.T as a symmetric
-    # rank-k update with an exactly symmetric result; elementwise products
-    # and sums of exactly symmetric matrices stay so, and nothing is mirrored.
-    PPt = tape.P @ tape.P.T
-    K = tape.H @ tape.H.T
+    # Row halves from SPLIT_MADDS on, else an empty top half: one syrk each.
+    # numpy runs a diagonal block A @ A.T as an exactly symmetric rank-k update;
+    # the off-diagonal gemms, HH^T's on the side thread, are mirrored.
+    H, P, M = tape.H, tape.P, tape.M
+    h = M // 2 if M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS else 0
+    K, PPt = np.empty((M, M)), np.empty((M, M))
+    with beside(H[h:], H[:h].T, K[h:, :h]):
+        np.matmul(P[h:], P[:h].T, out=PPt[h:, :h])
+        for A, out in ((P, PPt), (H, K)):
+            np.matmul(A[:h], A[:h].T, out=out[:h, :h])
+            np.matmul(A[h:], A[h:].T, out=out[h:, h:])
+    for out in (K, PPt):
+        out[:h, h:] = out[h:, :h].T
     K *= PPt
     K += PPt
     return K

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selbp.errors import DimensionMismatch
-from selbp.model import BatchTape
+from selbp.model import SPLIT_MADDS, BatchTape, Mlp, forward_tape
 from selbp.oracles import explicit_gradients, gram_explicit, gram_identity
 from selbp.selection import gram_implicit
 
@@ -66,7 +66,10 @@ def test_exactly_symmetric():
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-@pytest.mark.parametrize("M,D,C", [(512, 512, 10), (300, 77, 5), (7, 1, 1)])
+@pytest.mark.parametrize("M,D,C", [
+    (512, 512, 10), (300, 77, 5), (7, 1, 1),
+    (511, 512, 10),  # split into row halves whose blocks need not round as one syrk
+])
 def test_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
     rng = np.random.default_rng(M + D + C)
     H = rng.standard_normal((M, 2 * D))
@@ -78,6 +81,19 @@ def test_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
     tape = BatchTape(H=H, P=P, losses=np.zeros(M))
     K = gram_implicit(tape)
     np.testing.assert_array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("M, splits", [
+    (512, True),  # the benchmark's batch: HH^T and PP^T in row-half blocks
+    (320, False),  # its last batch: one syrk
+])
+def test_the_gram_equals_the_whole_products_on_the_benchmarks_net(M, splits):
+    rng = np.random.default_rng(8)
+    model = Mlp.init([64, 512, 512, 10], seed=9)
+    tape = forward_tape(model, rng.standard_normal((M, 64)), rng.integers(0, 10, M))
+    assert (M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS) == splits
+    PPt = tape.P @ tape.P.T
+    np.testing.assert_array_equal(gram_implicit(tape), (tape.H @ tape.H.T) * PPt + PPt)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

@@ -340,6 +340,7 @@ def step_outputs(model, X, y, X_test, y_test):
     ([64, 512, 512, 10], 512, True),  # the benchmark's net and batch
     ([64, 512, 512, 10], 320, True),  # its partial last batch
     ([8, 32, 5], 512, False),  # too small for any call to leave this thread
+    ([64, 512, 512, 10], 500, True),  # Gram blocks that do not round as one syrk
 ])
 def test_side_thread_and_inline_give_the_same_bits(side, monkeypatch, sizes, M, splits):
     rng = np.random.default_rng(34)
@@ -424,6 +425,17 @@ def test_the_side_thread_gets_the_large_forward_halves_and_weight_gradients(side
     assert side.calls == 3  # that layer's delta^T a and the input layer's delta^T X
     weighted_backward(model, X, y, Selection(np.arange(128), np.ones(128)), tape=tape)
     assert side.calls == 4  # the 512 x 512 layer's delta^T a alone
+
+
+def test_the_side_thread_gets_the_off_diagonal_block_of_a_large_gram(side):
+    tape = forward_tape(*large_net_batch(512))
+    calls = side.calls
+    gram_implicit(tape)
+    assert side.calls == calls + 1  # H's lower rows times its upper rows
+    tape = forward_tape(*large_net_batch(320))
+    calls = side.calls
+    gram_implicit(tape)
+    assert side.calls == calls  # 160 x 160 x 512 is below SPLIT_MADDS: one syrk
 
 
 def test_a_side_thread_error_reaches_the_caller_and_the_thread_serves_on(side, monkeypatch):
