@@ -193,7 +193,7 @@ class BatchTape:
     inputs: tuple = ()
 
     def __post_init__(self):
-        # Contiguous rows let gram_implicit's blocks A @ A.T run as symmetric updates.
+        # Contiguous rows let gram_implicit run each A @ A.T as a symmetric update.
         H = np.ascontiguousarray(self.H, dtype=np.float64)
         P = np.ascontiguousarray(self.P, dtype=np.float64)
         losses = np.asarray(self.losses, dtype=np.float64)

@@ -10,7 +10,8 @@ of three strategies behind one interface:
 * ``select_grad_match`` — Gram-OMP approximation of the minibatch mean
   gradient using last-layer inner products, keeping the positive weights
   rescaled to sum to the selection size; ``gram_implicit`` builds those
-  inner products from a forward tape, splitting a large batch into row halves.
+  inner products from a forward tape, splitting a large batch's HH^T into
+  row halves.
 
 ``omp_gram``, grad_match's pursuit, runs entirely on inner products: the
 Gram matrix K = A^T A of the atoms and the correlation vector t = A^T b with
@@ -115,19 +116,17 @@ def gram_implicit(tape):
     so K = HH^T o PP^T + PP^T with o elementwise, at O(M^2 (D + C)) flops;
     ``selbp.oracles.gram_explicit`` is the brute-force reference.
     """
-    # Row halves from SPLIT_MADDS on, else an empty top half: one syrk each.
-    # numpy runs a diagonal block A @ A.T as an exactly symmetric rank-k update;
-    # the off-diagonal gemms, HH^T's on the side thread, are mirrored.
+    # HH^T in row halves from SPLIT_MADDS on, else an empty top half: one syrk.
+    # numpy runs A @ A.T as an exactly symmetric rank-k update; the off-diagonal
+    # gemm runs on the side thread and is mirrored, so K stays exactly symmetric.
     H, P, M = tape.H, tape.P, tape.M
     h = M // 2 if M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS else 0
-    K, PPt = np.empty((M, M)), np.empty((M, M))
+    K = np.empty((M, M))
     with beside(H[h:], H[:h].T, K[h:, :h]):
-        np.matmul(P[h:], P[:h].T, out=PPt[h:, :h])
-        for A, out in ((P, PPt), (H, K)):
-            np.matmul(A[:h], A[:h].T, out=out[:h, :h])
-            np.matmul(A[h:], A[h:].T, out=out[h:, h:])
-    for out in (K, PPt):
-        out[:h, h:] = out[h:, :h].T
+        PPt = P @ P.T
+        np.matmul(H[:h], H[:h].T, out=K[:h, :h])
+        np.matmul(H[h:], H[h:].T, out=K[h:, h:])
+    K[:h, h:] = K[h:, :h].T
     K *= PPt
     K += PPt
     return K

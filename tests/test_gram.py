@@ -84,16 +84,23 @@ def test_exactly_symmetric_across_shapes_and_layouts(M, D, C, layout):
 
 
 @pytest.mark.parametrize("M, splits", [
-    (512, True),  # the benchmark's batch: HH^T and PP^T in row-half blocks
+    (512, True),  # the benchmark's batch: HH^T in row-half blocks
     (320, False),  # its last batch: one syrk
 ])
-def test_the_gram_equals_the_whole_products_on_the_benchmarks_net(M, splits):
+def test_the_gram_matches_the_whole_products_on_the_benchmarks_net(M, splits):
     rng = np.random.default_rng(8)
     model = Mlp.init([64, 512, 512, 10], seed=9)
     tape = forward_tape(model, rng.standard_normal((M, 64)), rng.integers(0, 10, M))
     assert (M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS) == splits
     PPt = tape.P @ tape.P.T
-    np.testing.assert_array_equal(gram_implicit(tape), (tape.H @ tape.H.T) * PPt + PPt)
+    whole = (tape.H @ tape.H.T) * PPt + PPt
+    if splits:
+        # Whether the blocks round as one syrk depends on the BLAS build and
+        # kernel. H >= 0 after ReLU, so summing D = 512 products in another
+        # order moves an entry by at most about 2 * 512 units of roundoff.
+        np.testing.assert_allclose(gram_implicit(tape), whole, rtol=2e-13, atol=0)
+    else:  # the same single syrk
+        np.testing.assert_array_equal(gram_implicit(tape), whole)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
