@@ -9,9 +9,8 @@ The package exports what the README's library sketch and the demos use;
 every other name, the error types included, is imported from its module.
 """
 
-from .model import Mlp, forward_tape, per_example_grads, weighted_backward
-from .selection import (StrategyConfig, gram_implicit, select_grad_match,
-                        select_loss_based, select_random)
+from .model import Mlp, forward_tape, gram_implicit, per_example_grads, weighted_backward
+from .selection import StrategyConfig, select_grad_match, select_loss_based, select_random
 from .trainer import TrainConfig, run_training
 from .data import DatasetDescriptor, build_dataset
 from .evalgrad import gradient_error_experiment

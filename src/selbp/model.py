@@ -2,10 +2,11 @@
 
 The network exposes exactly the forward-pass byproducts the selection
 strategies need (last-layer inputs H, output gradients P, per-example
-losses; ``forward_tape`` returns them as a :class:`BatchTape`) plus a
-weighted backward pass and per-example full gradients for the evaluation
-experiments. Per-example losses use sum semantics (no 1/M inside P); the
-1/|I| mean appears only in the weighted gradient estimate.
+losses, from ``forward_tape`` as a :class:`BatchTape`), their Gram
+(``gram_implicit``), a weighted backward pass and per-example gradients.
+Its large matmuls run on its one side thread (``_beside``). Per-example
+losses use sum semantics (no 1/M inside P); the 1/|I| mean appears only in
+the weighted gradient estimate.
 """
 
 import os
@@ -23,12 +24,12 @@ ACTIVATIONS = ("relu", "tanh")
 # Rows per forward pass when a whole set is evaluated or its gradient summed.
 CHUNK_ROWS = 512
 
-# Multiply-adds from which beside's matmul runs on the side thread, below which
+# Multiply-adds from which _beside's matmul runs on the side thread, below which
 # the hand-off costs more than it saves: a layer's forward row half and the Gram's
 # off-diagonal HH^T block, each split off once it reaches it, and each backward
 # delta^T a. Splits rounded as whole products on the benchmark's net, the Gram's at
 # M a multiple of 16 (numpy 2.4's OpenBLAS 0.3.31); elsewhere the last bit may differ.
-SPLIT_MADDS = 2**24
+_SPLIT_MADDS = 2**24
 # The variables OpenBLAS reads its thread count from, in its order.
 OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _side = {}  # pid -> the process's one side thread, made on first use; None: off
@@ -48,15 +49,15 @@ def _side_thread_helps():
 
 
 @contextmanager
-def beside(a, b, out):
+def _beside(a, b, out):
     """Run ``np.matmul(a, b, out=out)`` beside the with-block: on the side
     thread under the caller's error state when it is on and the call's
-    multiply-adds reach ``SPLIT_MADDS``, else inline before the block. It has
+    multiply-adds reach ``_SPLIT_MADDS``, else inline before the block. It has
     finished, its error raised, when the block exits."""
     if os.getpid() not in _side:  # setdefault: a racing first caller makes no second
         _side.setdefault(os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="selbp-side")
                          if _side_thread_helps() else None)
-    if _side[os.getpid()] is None or a.shape[0] * a.shape[1] * b.shape[1] < SPLIT_MADDS:
+    if _side[os.getpid()] is None or a.shape[0] * a.shape[1] * b.shape[1] < _SPLIT_MADDS:
         np.matmul(a, b, out=out)
         yield
         return
@@ -150,10 +151,10 @@ def _forward(model, X):
     a = [X]
     last = len(model.layers) - 1
     for li, (W, b) in enumerate(model.layers):
-        # Row halves from SPLIT_MADDS on, else an empty top half: the whole matmul here.
-        h = a[-1].shape[0] // 2 if a[-1].shape[0] // 2 * W.size >= SPLIT_MADDS else 0
+        # Row halves from _SPLIT_MADDS on, else an empty top half: the whole matmul here.
+        h = a[-1].shape[0] // 2 if a[-1].shape[0] // 2 * W.size >= _SPLIT_MADDS else 0
         z = np.empty((a[-1].shape[0], W.shape[0]))
-        with beside(a[-1][:h], W.T, z[:h]):
+        with _beside(a[-1][:h], W.T, z[:h]):
             np.matmul(a[-1][h:], W.T, out=z[h:])
         z += b  # bitwise a[-1] @ W.T + b, without a second array
         a.append(z if li == last else _act(z, model.activation))
@@ -231,6 +232,34 @@ def forward_tape(model, X, y):
     return BatchTape(H=a[-1], P=P, losses=losses, inputs=tuple(a))
 
 
+def gram_implicit(tape):
+    """Gram matrix of last-layer gradients without forming them.
+
+    Example i's gradient w.r.t. the linear output layer (W, b) is
+    (p_i h_i^T, p_i), h_i being the layer's input and p_i the loss gradient
+    w.r.t. the model output. Their pairwise inner products are
+
+        K_ij = (h_i^T h_j)(p_i^T p_j) + p_i^T p_j,
+
+    so K = HH^T o PP^T + PP^T with o elementwise, at O(M^2 (D + C)) flops;
+    ``selbp.oracles.gram_explicit`` is the brute-force reference.
+    """
+    # HH^T in row halves from _SPLIT_MADDS on, else an empty top half: one syrk.
+    # numpy runs A @ A.T as an exactly symmetric rank-k update; the off-diagonal
+    # gemm runs on the side thread and is mirrored, so K stays exactly symmetric.
+    H, P, M = tape.H, tape.P, tape.M
+    h = M // 2 if M // 2 * (M - M // 2) * tape.D >= _SPLIT_MADDS else 0
+    K = np.empty((M, M))
+    with _beside(H[h:], H[:h].T, K[h:, :h]):
+        PPt = P @ P.T
+        np.matmul(H[:h], H[:h].T, out=K[:h, :h])
+        np.matmul(H[h:], H[h:].T, out=K[h:, h:])
+    K[:h, h:] = K[h:, :h].T
+    K *= PPt
+    K += PPt
+    return K
+
+
 def accuracy(model, X, y):
     """Share of rows whose argmax logit is the label, ``CHUNK_ROWS`` rows at a
     time. Raises ``ValueError`` when a logit is not finite."""
@@ -270,7 +299,7 @@ def weighted_backward(model, X, y, sel, *, tape):
     for li in range(len(model.layers) - 1, -1, -1):
         W, b = model.layers[li]
         pos -= W.size + b.size
-        with beside(delta.T, a[li], grad[pos : pos + W.size].reshape(W.shape)):
+        with _beside(delta.T, a[li], grad[pos : pos + W.size].reshape(W.shape)):
             np.sum(delta, axis=0, out=grad[pos + W.size : pos + W.size + b.size])
             if li > 0:
                 delta = _through_act(delta @ W, a[li], model.activation)

@@ -2,16 +2,15 @@
 
 This module defines the :class:`Selection` a step backprops, checks that its
 size fits the forward batch (:func:`check_subset_size`) and makes it by each
-of three strategies behind one interface:
+of three strategies behind one interface, on plain arrays (K, losses, sizes):
 
 * ``select_random`` — uniform without replacement, the plain baseline.
 * ``select_loss_based`` — keep probability CDF(loss)^beta with beta = M/m,
   realized as exact-size weighted sampling without replacement.
 * ``select_grad_match`` — Gram-OMP approximation of the minibatch mean
   gradient using last-layer inner products, keeping the positive weights
-  rescaled to sum to the selection size; ``gram_implicit`` builds those
-  inner products from a forward tape, splitting a large batch's HH^T into
-  row halves.
+  rescaled to sum to the selection size; ``selbp.model.gram_implicit``
+  builds those inner products from the MLP's forward tape.
 
 ``omp_gram``, grad_match's pursuit, runs entirely on inner products: the
 Gram matrix K = A^T A of the atoms and the correlation vector t = A^T b with
@@ -34,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EmptySelection
-from .model import SPLIT_MADDS, beside
 
 logger = logging.getLogger(__name__)
 
@@ -102,34 +100,6 @@ def loss_history(M):
     """The rolling-buffer CDF's reference: the latest ``8 * M`` losses, eight
     forward batches of ``M`` rows."""
     return deque(maxlen=8 * M)
-
-
-def gram_implicit(tape):
-    """Gram matrix of last-layer gradients without forming them.
-
-    Example i's gradient w.r.t. the linear output layer (W, b) is
-    (p_i h_i^T, p_i), h_i being the layer's input and p_i the loss gradient
-    w.r.t. the model output. Their pairwise inner products are
-
-        K_ij = (h_i^T h_j)(p_i^T p_j) + p_i^T p_j,
-
-    so K = HH^T o PP^T + PP^T with o elementwise, at O(M^2 (D + C)) flops;
-    ``selbp.oracles.gram_explicit`` is the brute-force reference.
-    """
-    # HH^T in row halves from SPLIT_MADDS on, else an empty top half: one syrk.
-    # numpy runs A @ A.T as an exactly symmetric rank-k update; the off-diagonal
-    # gemm runs on the side thread and is mirrored, so K stays exactly symmetric.
-    H, P, M = tape.H, tape.P, tape.M
-    h = M // 2 if M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS else 0
-    K = np.empty((M, M))
-    with beside(H[h:], H[:h].T, K[h:, :h]):
-        PPt = P @ P.T
-        np.matmul(H[:h], H[:h].T, out=K[:h, :h])
-        np.matmul(H[h:], H[h:].T, out=K[h:, h:])
-    K[:h, h:] = K[h:, :h].T
-    K *= PPt
-    K += PPt
-    return K
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, TrainingDiverged
-from .model import accuracy, forward_tape, weighted_backward
-from .selection import (Selection, check_subset_size, gram_implicit, loss_history,
-                        select_grad_match, select_loss_based, select_random)
+from .model import accuracy, forward_tape, gram_implicit, weighted_backward
+from .selection import (Selection, check_subset_size, loss_history, select_grad_match,
+                        select_loss_based, select_random)
 
 SCHEDULES = ("constant", "step", "cosine")
 BATCH_MODES = ("fixed", "scaled")

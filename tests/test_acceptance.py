@@ -13,10 +13,10 @@ from scipy import stats
 from selbp.config import parse_config_text
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.evalgrad import gradient_error_experiment
-from selbp.model import BatchTape, Mlp, forward_tape
+from selbp.model import BatchTape, Mlp, forward_tape, gram_implicit
 from selbp.oracles import gradient_check, gram_identity, omp_oracle, proxy_identity
-from selbp.selection import (OmpConfig, StrategyConfig, gram_implicit, omp_gram,
-                             select_grad_match, select_loss_based)
+from selbp.selection import (OmpConfig, StrategyConfig, omp_gram, select_grad_match,
+                             select_loss_based)
 from selbp.trainer import TrainConfig, apply_label_noise, cost_units, run_training
 
 

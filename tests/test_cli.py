@@ -271,6 +271,26 @@ def test_selftest_reports_a_wrong_omp(monkeypatch, capsys, wrong, detail):
     assert f"[FAIL] gram-OMP vs dense oracle: {detail}" in out and out.count("[ok]") == 3
 
 
+def test_selftest_reports_an_omp_whose_objective_rises(monkeypatch, capsys):
+    # Right on each Gram's first pursuit, so it agrees with the dense oracle;
+    # every later pursuit on that Gram, as the objective check runs, triples
+    # the weights.
+    right, seen = selbp.oracles.omp_gram, []
+
+    def wrong(K, t, cfg):
+        sel = right(K, t, cfg)
+        if any(K is old for old in seen):
+            return Selection(sel.indices, 3.0 * sel.weights)
+        seen.append(K)
+        return sel
+
+    monkeypatch.setattr(selbp.oracles, "omp_gram", wrong)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] gram-OMP vs dense oracle: objective increased at step 1" in out
+    assert out.count("[ok]") == 3
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dataset.kind = blobs\n")  # missing strategy.kinds
     assert main(["train", "--config", cfg]) == 1

@@ -2,8 +2,9 @@
 package source, from an empty directory, writing no files; a process that
 uses the package loads only what the package needs; the package exports
 exactly what the README and the demos import from it; no module imports a
-name it never uses or another module's private name; and every file the
-package opens is opened as UTF-8."""
+name it never uses or another module's private name; model and selection
+import no package module but errors; and every file the package opens is
+opened as UTF-8."""
 
 import ast
 import os
@@ -62,6 +63,19 @@ def test_module_imports_no_private_name_of_another(module):
                and (node.level or node.module.startswith("selbp"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("name", ["model.py", "selection.py"])
+def test_model_and_selection_import_no_package_module_but_errors(name):
+    # model alone decides what runs on the side thread, and selection's
+    # algorithms take plain arrays, so neither leans on another module.
+    tree = ast.parse((ROOT / "src" / "selbp" / name).read_text())
+    imported = {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.startswith("selbp"))}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.startswith("selbp")}
+    assert imported <= {".errors", "selbp.errors"}
 
 
 def test_every_open_names_its_encoding():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from selbp.errors import DimensionMismatch
-from selbp.model import SPLIT_MADDS, BatchTape, Mlp, forward_tape
+from selbp.model import _SPLIT_MADDS, BatchTape, Mlp, forward_tape, gram_implicit
 from selbp.oracles import explicit_gradients, gram_explicit, gram_identity
-from selbp.selection import gram_implicit
 
 
 def random_tape(rng, M=None, D=None, C=None):
@@ -91,7 +90,7 @@ def test_the_gram_matches_the_whole_products_on_the_benchmarks_net(M, splits):
     rng = np.random.default_rng(8)
     model = Mlp.init([64, 512, 512, 10], seed=9)
     tape = forward_tape(model, rng.standard_normal((M, 64)), rng.integers(0, 10, M))
-    assert (M // 2 * (M - M // 2) * tape.D >= SPLIT_MADDS) == splits
+    assert (M // 2 * (M - M // 2) * tape.D >= _SPLIT_MADDS) == splits
     PPt = tape.P @ tape.P.T
     whole = (tape.H @ tape.H.T) * PPt + PPt
     if splits:

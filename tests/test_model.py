@@ -13,19 +13,20 @@ from hypothesis import strategies as st
 import selbp.model
 from selbp.errors import DimensionMismatch
 from selbp.model import (
+    _SPLIT_MADDS,
     ACTIVATIONS,
-    SPLIT_MADDS,
     BatchTape,
     Mlp,
+    _beside,
     _forward,
     _side_thread_helps,
     accuracy,
-    beside,
     forward_tape,
+    gram_implicit,
     per_example_grads,
     weighted_backward,
 )
-from selbp.selection import Selection, gram_implicit
+from selbp.selection import Selection
 from selbp.oracles import fd_gradient, gradient_check, proxy_error, proxy_identity
 
 
@@ -392,7 +393,7 @@ def test_a_process_whose_blas_is_threaded_runs_every_call_inline(monkeypatch):
     monkeypatch.setattr(selbp.model, "_side_thread_helps", lambda: False)
     A = np.ones((256, 256))  # 2^24 multiply-adds: big enough for a side thread
     out = np.empty_like(A)
-    with beside(A, A, out):
+    with _beside(A, A, out):
         assert (out == 256).all()  # run before the block, on this thread
     assert selbp.model._side[os.getpid()] is None
 
@@ -401,7 +402,7 @@ def test_a_process_whose_blas_is_threaded_runs_every_call_inline(monkeypatch):
     pytest.param([512, 512], 512, True, id="512"),  # a batch
     pytest.param([512, 512], 464, True, id="464"),  # accuracy's last chunk
     pytest.param([512, 512], 320, True, id="320"),  # the last batch
-    # Below SPLIT_MADDS: an empty top half, and the whole matmul in one call.
+    # Below _SPLIT_MADDS: an empty top half, and the whole matmul in one call.
     pytest.param([3, 10, 4], 5, False, id="3-10-4"),
     pytest.param([64, 512], 512, False, id="input-layer"),  # the benchmark net's input layer
     pytest.param([512, 10], 512, False, id="head"),  # and its head
@@ -410,7 +411,7 @@ def test_a_split_hidden_layer_equals_the_whole_matmul(sizes, M, splits):
     rng = np.random.default_rng(37)
     layers = [(W, rng.standard_normal(W.shape[0])) for W, _ in Mlp.init(sizes, seed=38).layers]
     a = np.maximum(rng.standard_normal((M, sizes[0])), 0.0)
-    assert all((M // 2 * W.size >= SPLIT_MADDS) == splits for W, _ in layers)
+    assert all((M // 2 * W.size >= _SPLIT_MADDS) == splits for W, _ in layers)
     want = a
     for li, (W, b) in enumerate(layers):
         want = (want if li == 0 else np.maximum(want, 0.0)) @ W.T + b
@@ -435,18 +436,18 @@ def test_the_side_thread_gets_the_off_diagonal_block_of_a_large_gram(side):
     tape = forward_tape(*large_net_batch(320))
     calls = side.calls
     gram_implicit(tape)
-    assert side.calls == calls  # 160 x 160 x 512 is below SPLIT_MADDS: one syrk
+    assert side.calls == calls  # 160 x 160 x 512 is below _SPLIT_MADDS: one syrk
 
 
 def test_a_side_thread_error_reaches_the_caller_and_the_thread_serves_on(side, monkeypatch):
-    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
+    monkeypatch.setattr(selbp.model, "_SPLIT_MADDS", 1)  # small calls go to the side thread
     ran = []
     with pytest.raises(ValueError, match="matmul"):
-        with beside(np.ones((2, 3)), np.ones((2, 3)), np.empty((2, 3))):
+        with _beside(np.ones((2, 3)), np.ones((2, 3)), np.empty((2, 3))):
             ran.append(True)
     assert ran and side.calls == 1
     out = np.empty((2, 2))
-    with beside(np.ones((2, 3)), np.ones((3, 2)), out):
+    with _beside(np.ones((2, 3)), np.ones((3, 2)), out):
         pass
     assert side.calls == 2 and (out == 3).all()
 
@@ -455,21 +456,21 @@ def test_the_side_call_finishes_before_an_error_in_the_block_leaves_it(side):
     A = np.ones((600, 600))
     out = np.zeros_like(A)
     with pytest.raises(KeyError):
-        with beside(A, A, out):
+        with _beside(A, A, out):
             raise KeyError("block")
     assert side.calls == 1 and (out == 600).all()
 
 
 def test_side_work_runs_under_the_callers_error_state(side, monkeypatch):
-    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
+    monkeypatch.setattr(selbp.model, "_SPLIT_MADDS", 1)  # small calls go to the side thread
     big = np.full((2, 2), 1e200)
     out = np.empty((2, 2))
     with np.errstate(over="ignore"):  # a RuntimeWarning would be an error here
-        with beside(big, big, out):
+        with _beside(big, big, out):
             pass
     assert np.isinf(out).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        with beside(big, big, out):
+        with _beside(big, big, out):
             pass
     assert side.calls == 2
 
@@ -478,14 +479,14 @@ def test_callers_on_several_threads_share_the_side_thread_safely(side, monkeypat
     # Four caller threads, switching as often as the interpreter allows, each
     # hand the side thread calls on their own arrays; a call waited on by the
     # wrong caller, or lost, leaves some caller's output unfinished.
-    monkeypatch.setattr(selbp.model, "SPLIT_MADDS", 1)  # small calls go to the side thread
+    monkeypatch.setattr(selbp.model, "_SPLIT_MADDS", 1)  # small calls go to the side thread
     two = 2.0 * np.eye(8)
 
     def caller(k, outs):
         x = (np.arange(64.0) + k).reshape(8, 8)
         for _ in range(50):
             out = np.zeros((8, 8))
-            with beside(x, two, out):
+            with _beside(x, two, out):
                 pass
             outs.append(np.array_equal(out, 2 * x))
 

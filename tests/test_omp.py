@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selbp.errors import DimensionMismatch, EmptySelection
-from selbp.model import BatchTape, Mlp, forward_tape
+from selbp.model import BatchTape, Mlp, forward_tape, gram_implicit
 from selbp.oracles import (
     explicit_gradients,
     gram_explicit,
@@ -12,7 +12,7 @@ from selbp.oracles import (
     omp_oracle,
     residual_norm_sq,
 )
-from selbp.selection import OmpConfig, Selection, gram_implicit, omp_gram
+from selbp.selection import OmpConfig, Selection, omp_gram
 
 
 def mean_matching_instance(rng, M, D):
@@ -173,6 +173,26 @@ def test_dense_full_support_exact_least_squares():
     resid = np.linalg.norm(A[sel.indices].T @ sel.weights - b)
     lstsq_resid = np.linalg.norm(A.T @ np.linalg.lstsq(A.T, b, rcond=None)[0] - b)
     assert resid <= lstsq_resid + 1e-10 * np.linalg.norm(b)
+
+
+def test_gram_omp_and_the_dense_oracle_stop_alike():
+    # Unit atoms: the residual matches no atom left after three, so both stop
+    # three short of max_atoms; a target no atom correlates with leaves both
+    # nothing to take. The dense oracle also refuses sizes that do not fit.
+    A = np.eye(8)
+    b = np.zeros(8)
+    b[[0, 3, 5]] = [2.0, 1.0, 0.5]
+    for sel in (omp_gram(A @ A.T, A @ b, OmpConfig(max_atoms=6)), omp_dense_oracle(A, b, 6)):
+        np.testing.assert_array_equal(sel.indices, [0, 3, 5])
+        np.testing.assert_array_equal(sel.weights, [2.0, 1.0, 0.5])
+    with pytest.raises(EmptySelection):
+        omp_gram(A @ A.T, A @ -np.ones(8), OmpConfig(max_atoms=6))
+    with pytest.raises(EmptySelection):
+        omp_dense_oracle(A, -np.ones(8), 6)
+    with pytest.raises(DimensionMismatch, match="width 8 but target has length 7"):
+        omp_dense_oracle(A, np.ones(7), 6)
+    with pytest.raises(DimensionMismatch, match="m 9 exceeds number of atoms 8"):
+        omp_dense_oracle(A, b, 9)
 
 
 def test_first_atom_maximizes_mean_correlation():

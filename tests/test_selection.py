@@ -8,13 +8,12 @@ from scipy import stats
 
 import selbp.selection
 from selbp.errors import DimensionMismatch
-from selbp.model import BatchTape, Mlp, forward_tape, weighted_backward
+from selbp.model import BatchTape, Mlp, forward_tape, gram_implicit, weighted_backward
 from selbp.selection import (
     OmpConfig,
     Selection,
     StrategyConfig,
     empirical_cdf,
-    gram_implicit,
     loss_history,
     omp_gram,
     select_grad_match,
