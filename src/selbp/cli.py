@@ -4,7 +4,8 @@ Subcommands:
 
 * ``train``      — run the (strategy x fraction x seed) grid, one metrics CSV
                    per run plus a summary CSV.
-* ``grad-error`` — the gradient-estimate-quality experiment; histogram CSV.
+* ``grad-error`` — the gradient-estimate-quality experiment at each grid
+                   fraction's training ``M`` and ``m``; one CSV row per sample.
 * ``selftest``   — print the checks of ``selbp.oracles.selftest``, one
                    ``[ok]``/``[FAIL]`` line each; exit 1 on a failure.
 * ``synth-data`` — materialize a synthetic dataset as CSV.
@@ -31,7 +32,7 @@ from .config import dump_config, load_config
 from .data import build_dataset
 from .errors import ParseError, SelbpError, TrainingDiverged
 from .model import OPENBLAS_THREAD_VARS, Mlp
-from .trainer import METRICS_FIELDS, run_training
+from .trainer import METRICS_FIELDS, forward_batch, run_training, subset_size
 
 logger = logging.getLogger(__name__)
 
@@ -109,21 +110,19 @@ def cmd_train(spec, dataset, jobs):
 
 
 def cmd_grad_error(spec, dataset, start_output):
-    model = _build_model(spec, dataset, spec.seeds[0])
+    seed = spec.seeds[0]
+    model = _build_model(spec, dataset, seed)
     strategies = {kind: spec.strategy_config(kind) for kind in spec.strategy_kinds}
-    samples = evalgrad.gradient_error_experiment(
-        model,
-        dataset.X_train,
-        dataset.y_train,
-        strategies,
-        num_batches=spec.eval_num_batches,
-        M=spec.eval_batch,
-        m=spec.eval_subset,
-        seed=spec.seeds[0],
-    )
+    rows = []
+    for fraction in spec.fractions:  # at the M and m of the fraction's training cells
+        M = forward_batch(spec.train_config(fraction, seed))
+        samples = evalgrad.gradient_error_experiment(
+            model, dataset.X_train, dataset.y_train, strategies,
+            num_batches=spec.eval_num_batches, M=M, m=subset_size(fraction, M), seed=seed)
+        rows += ([fraction, *astuple(s)] for s in samples)
     start_output()  # only now: the experiment refuses sizes the data cannot meet
-    write_csv(os.path.join(spec.out_dir, "grad_errors.csv"), evalgrad.GRAD_ERROR_FIELDS,
-              map(astuple, samples))
+    write_csv(os.path.join(spec.out_dir, "grad_errors.csv"),
+              ["fraction", *evalgrad.GRAD_ERROR_FIELDS], rows)
     return 0
 
 

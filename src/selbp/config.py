@@ -1,9 +1,10 @@
 """Flat key=value experiment configuration with named hyperparameter presets.
 
-One ``key = value`` pair per line of UTF-8 text; ``#`` starts a comment at the
-start of a line or after whitespace. The keys are ``preset``, ``SPEC_KEYS`` and
-``<section>.<field>`` for every field in ``SECTIONS`` but the two a grid cell
-sets; a field's annotation picks its value's parser. Unknown keys are errors.
+One ``key = value`` pair per line of UTF-8 text, less one leading byte order
+mark; ``#`` starts a comment at the start of a line or after whitespace. The
+keys are ``preset``, ``SPEC_KEYS`` and ``<section>.<field>`` for every field in
+``SECTIONS`` but the two a grid cell sets; a field's annotation picks its
+value's parser. Unknown keys are errors.
 """
 
 import math
@@ -14,7 +15,7 @@ from typing import get_args, get_origin
 from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
 from .model import Mlp
-from .selection import StrategyConfig, check_subset_size
+from .selection import StrategyConfig
 from .trainer import TrainConfig, forward_batch
 
 # Named training presets (momentum, schedule, budget, batch size).
@@ -45,8 +46,6 @@ class ExperimentSpec:
     fractions: tuple[float, ...] = (0.5,)
     seeds: tuple[int, ...] = (0,)
     eval_num_batches: int = 200
-    eval_batch: int = 128
-    eval_subset: int = 32
     out_dir: str = "runs"
 
     def __post_init__(self):
@@ -67,10 +66,6 @@ class ExperimentSpec:
         Mlp(activation=self.activation)  # the model's own activation check
         if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
-        try:
-            check_subset_size(self.eval_subset, self.eval_batch)
-        except DimensionMismatch as exc:  # a ValueError names its key's line
-            raise ValueError(f"eval_subset of eval_batch rows: {exc}") from exc
         if self.eval_num_batches < 1:
             raise ValueError(f"eval_num_batches must be >= 1, got {self.eval_num_batches}")
 
@@ -121,8 +116,7 @@ SPEC_KEYS = {
     "model.hidden": "hidden", "model.activation": "activation",
     "strategy.kinds": "strategy_kinds", "strategy.cdf_source": "cdf_source",
     "grid.fractions": "fractions", "grid.seeds": "seeds",
-    "eval.num_batches": "eval_num_batches", "eval.batch": "eval_batch",
-    "eval.subset": "eval_subset", "out.dir": "out_dir",
+    "eval.num_batches": "eval_num_batches", "out.dir": "out_dir",
 }
 
 # key -> (target, attribute, parser) where target is "spec", "preset" or a
@@ -204,7 +198,7 @@ def load_config(path):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text.removeprefix("\ufeff"))  # less one leading byte order mark
 
 
 def _fmt(value):

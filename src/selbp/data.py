@@ -1,6 +1,7 @@
 """Dataset ingestion and synthesis: CSV files, Gaussian blobs, two moons."""
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -128,8 +129,8 @@ def ingest_csv(desc):
     split is seeded and reproducible.
     """
     try:
-        with open(desc.path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh.readlines())
+        with open(desc.path, encoding="utf-8", newline="") as fh:  # less one leading BOM
+            reader = csv.reader(io.StringIO(fh.read().removeprefix("\ufeff"), newline=""))
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"{desc.path} is not UTF-8 text: {exc}") from exc
     header = next(reader, [])  # an empty file has no label column

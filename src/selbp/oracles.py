@@ -78,11 +78,6 @@ def residual_norm_sq(K, t, t0, sel):
     return float(quad - 2.0 * (g @ t[idx]) + t0)
 
 
-def mean_loss(model, X, y):
-    """Mean softmax cross-entropy over the batch."""
-    return float(forward_tape(model, X, y).losses.mean())
-
-
 def fd_gradient(model, X, y, h=1e-5):
     """Central finite differences of the mean loss in every parameter."""
     theta = model.get_params()
@@ -91,9 +86,9 @@ def fd_gradient(model, X, y, h=1e-5):
         step = np.zeros_like(theta)
         step[i] = h
         model.set_params(theta + step)
-        up = mean_loss(model, X, y)
+        up = forward_tape(model, X, y).losses.mean()
         model.set_params(theta - step)
-        down = mean_loss(model, X, y)
+        down = forward_tape(model, X, y).losses.mean()
         fd[i] = (up - down) / (2 * h)
     model.set_params(theta)
     return fd

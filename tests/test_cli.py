@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import selbp.cli
+import selbp.evalgrad
 import selbp.oracles
 from selbp.cli import BLAS_THREAD_VARS, main
 from selbp.config import load_config, parse_config_text
@@ -202,22 +203,44 @@ def test_synth_data_has_no_seed_flag(tmp_path):
 
 
 def test_grad_error_command(tmp_path):
-    text = SMALL_GRID + "eval.num_batches = 5\neval.batch = 32\neval.subset = 8\n"
-    cfg = write_cfg(tmp_path, text)
+    cfg = write_cfg(tmp_path, SMALL_GRID + "eval.num_batches = 5\n")
     out = tmp_path / "ge"
     rc = main(["grad-error", "--config", cfg, "--out", str(out)])
     assert rc == 0
     with open(out / "grad_errors.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 2 * 5
+    assert list(rows[0]) == ["fraction", "strategy", "batch_index", "squared_error"]
+    assert len(rows) == 2 * 2 * 5  # strategies x fractions x batches
+    assert {r["fraction"] for r in rows} == {"0.5", "1.0"}
     assert all(float(r["squared_error"]) >= 0 for r in rows)
     spec = replace(load_config(cfg), out_dir=str(out))
     assert parse_config_text((out / "config.cfg").read_text()) == spec
 
 
+@pytest.mark.parametrize("extra, sizes", [
+    ("", [(32, 16), (32, 32)]),  # fixed mode: M = base_batch at each fraction
+    ("train.batch_mode = scaled\n", [(64, 32)]),  # scaled: m = base_batch
+], ids=["fixed", "scaled"])
+def test_grad_error_sizes_each_fraction_as_its_training_cells(tmp_path, monkeypatch,
+                                                               extra, sizes):
+    text = SMALL_GRID + "eval.num_batches = 2\n" + extra
+    if extra:
+        text = text.replace("grid.fractions = 0.5, 1.0", "grid.fractions = 0.5")
+    experiment, seen = selbp.evalgrad.gradient_error_experiment, []
+
+    def recording(*args, M, m, **kwargs):
+        seen.append((M, m))
+        return experiment(*args, M=M, m=m, **kwargs)
+
+    monkeypatch.setattr(selbp.evalgrad, "gradient_error_experiment", recording)
+    assert main(["grad-error", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "ge")]) == 0
+    assert seen == sizes
+
+
 def test_grad_error_with_a_batch_beyond_the_data_leaves_no_output(tmp_path, capsys):
-    # 200 rows at split 0.8 leave 160 for training, fewer than eval.batch.
-    text = SMALL_GRID + "eval.num_batches = 5\neval.batch = 192\neval.subset = 8\n"
+    # 200 rows at split 0.8 leave 160 for training, fewer than the forward batch.
+    text = SMALL_GRID.replace("train.base_batch = 32", "train.base_batch = 192")
     out = tmp_path / "ge"
     assert main(["grad-error", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
     (err,) = capsys.readouterr().err.splitlines()

@@ -42,9 +42,11 @@ def test_unknown_key_rejected():
     with pytest.raises(ParseError, match="solver.magic"):
         parse_config_text(MINIMAL + "solver.magic = adam\n")
     # Removed keys: weights are always clipped to be non-negative, plain SGD
-    # is train.momentum = 0, and grad_match never pads its subset.
-    for key in ("strategy.clip_negative", "train.optimizer", "strategy.pad_to_m"):
-        with pytest.raises(ParseError, match=key):
+    # is train.momentum = 0, grad_match never pads its subset, and grad-error
+    # sizes its batches and subsets as the grid's training cells do.
+    for key in ("strategy.clip_negative", "train.optimizer", "strategy.pad_to_m",
+                "eval.batch", "eval.subset"):
+        with pytest.raises(ParseError, match=f"^line 3: unknown key {key!r}$"):
             parse_config_text(MINIMAL + f"{key} = false\n")
 
 
@@ -75,7 +77,6 @@ def test_value_rejected_by_its_section_reports_line_and_key():
         ("train.schedule = linear\n", "line 3: bad value for 'train.schedule'"),
         ("dataset.n = 2\ndataset.classes = 3\n", "line 3: bad value for 'dataset.n'"),
         ("dataset.classes = 300\ndataset.n = 200\n", "line 4: bad value for 'dataset.n'"),
-        ("eval.batch = 64\neval.subset = 0\n", "line 4: bad value for 'eval.subset'"),
         ("train.milestones = 5,5\n", "line 3: bad value for 'train.milestones'"),
         ("dataset.classes = 0\n", "line 3: bad value for 'dataset.classes'"),
         ("dataset.dim = 0\n", "line 3: bad value for 'dataset.dim'"),
@@ -115,8 +116,6 @@ def test_value_rejected_by_its_section_reports_line_and_key():
     ("grid.seeds = 1, -1\n", "grid.seeds"),
     ("model.activation = gelu\n", "model.activation"),
     ("model.hidden = 16, 0\n", "model.hidden"),
-    ("eval.subset = 0\n", "eval.subset"),
-    ("eval.batch = 16\n", "eval.batch"),
     ("eval.num_batches = 0\n", "eval.num_batches"),
     ("train.epochs = 0\n", "train.epochs"),
     ("train.base_batch = 0\n", "train.base_batch"),
@@ -267,6 +266,14 @@ def test_load_config_reads_utf8_and_names_a_file_that_is_not(tmp_path):
         load_config(path)
 
 
+def test_load_config_drops_a_leading_byte_order_mark(tmp_path):
+    text = MINIMAL + "out.dir = résumé\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_config(marked) == load_config(plain)
+
+
 def test_derived_configs():
     spec = parse_config_text(MINIMAL + "strategy.cdf_source = rolling_buffer\n")
     sc = spec.strategy_config("grad_match")
@@ -337,8 +344,6 @@ NON_DEFAULT = {
     "grid.fractions": "0.25",
     "grid.seeds": "1",
     "eval.num_batches": "10",
-    "eval.batch": "64",
-    "eval.subset": "16",
     "out.dir": "elsewhere",
 }
 
@@ -357,7 +362,7 @@ def cell_inputs(spec):
         spec.train_config(0.5, 5),
         spec.strategy_config("loss_based"),
         spec.strategy_kinds, spec.fractions, spec.seeds,
-        spec.eval_num_batches, spec.eval_batch, spec.eval_subset, spec.out_dir,
+        spec.eval_num_batches, spec.out_dir,
     )
 
 

@@ -80,6 +80,21 @@ def test_csv_reads_utf8_and_names_a_file_that_is_not(tmp_path):
         ingest_csv(desc)
 
 
+@pytest.mark.parametrize("text, feature_cols", [
+    ("label,x0,x1\r\n0,1,2\r\n1,3,5\r\n0,5,6\r\n1,7,9\r\n", ()),
+    ("x0,x1,label\n1,2,0\n3,5,1\n5,6,0\n7,9,1\n", ("x0", "x1")),
+], ids=["label-first-crlf", "feature-cols"])
+def test_csv_drops_a_leading_byte_order_mark(tmp_path, text, feature_cols):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    a, b = (ingest_csv(DatasetDescriptor(kind="csv", path=str(p), split=0.5,
+                                         feature_cols=feature_cols)) for p in (plain, marked))
+    for name in ("X_train", "y_train", "X_test", "y_test"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+    assert b.num_classes == a.num_classes == 2
+
+
 def test_csv_non_numeric_feature(tmp_path):
     text = "a,label\n1,0\noops,1\n"
     desc = DatasetDescriptor(kind="csv", path=write_csv(tmp_path, text), split=0.5)
