@@ -10,8 +10,8 @@ every other name, the error types included, is imported from its module.
 """
 
 from .model import Mlp, forward_tape, gram_implicit, per_example_grads, weighted_backward
-from .selection import StrategyConfig, select_grad_match, select_loss_based, select_random
-from .trainer import TrainConfig, run_training
+from .selection import select_grad_match, select_loss_based, select_random
+from .trainer import StrategyConfig, TrainConfig, run_training
 from .data import DatasetDescriptor, build_dataset
 from .evalgrad import gradient_error_experiment
 

@@ -15,8 +15,7 @@ from typing import get_args, get_origin
 from .data import DatasetDescriptor
 from .errors import DimensionMismatch, ParseError
 from .model import Mlp
-from .selection import StrategyConfig
-from .trainer import TrainConfig, forward_batch
+from .trainer import StrategyConfig, TrainConfig, forward_batch
 
 # Named training presets (momentum, schedule, budget, batch size).
 PRESETS = {

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .model import CHUNK_ROWS, forward_tape, weighted_backward
-from .selection import Selection, check_subset_size, loss_history
-from .trainer import select_subset
+from .selection import Selection, check_subset_size
+from .trainer import loss_history, select_subset
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
     batch_rng = np.random.default_rng([seed, 0])
     names = list(strategies)
     strat_rngs = {name: np.random.default_rng([seed, 1 + i]) for i, name in enumerate(names)}
-    buffers = {name: loss_history(M) for name in names}
+    histories = {name: loss_history(M) for name in names}
 
     samples = []
     diff = np.empty_like(g_full)  # one error buffer for every estimate
@@ -69,7 +69,7 @@ def gradient_error_experiment(model, X, y, strategies, num_batches, M, m, seed=0
         tape = forward_tape(model, Xb, yb)
         for name in names:
             size = M if strategies[name] is None else m
-            sel = select_subset(strategies[name], tape, size, buffers[name], strat_rngs[name])
+            sel = select_subset(strategies[name], tape, size, histories[name], strat_rngs[name])
             est = weighted_backward(model, Xb, yb, sel, tape=tape)
             np.subtract(est, g_full, out=diff)
             err = float(diff @ diff)

@@ -163,7 +163,9 @@ def _forward(model, X):
 
 def _softmax_stats(logits, y):
     """Per-example losses and P = softmax(logits) - onehot(y), both stable."""
-    y = np.asarray(y, dtype=np.intp).reshape(-1)
+    y = np.asarray(y).reshape(-1)
+    if not np.issubdtype(y.dtype, np.integer):
+        raise TypeError(f"labels must be integers, got {y.dtype}")
     if y.shape[0] != logits.shape[0]:
         raise DimensionMismatch("labels do not match the batch size")
     if (y < 0).any() or (y >= logits.shape[1]).any():

@@ -2,7 +2,9 @@
 
 This module defines the :class:`Selection` a step backprops, checks that its
 size fits the forward batch (:func:`check_subset_size`) and makes it by each
-of three strategies behind one interface, on plain arrays (K, losses, sizes):
+of three strategies behind one interface, on plain arrays (K, losses, sizes)
+that it only reads. It holds no configuration or state: which one runs, and
+the loss history that loss_based ranks against, are ``selbp.trainer``'s.
 
 * ``select_random`` — uniform without replacement, the plain baseline.
 * ``select_loss_based`` — keep probability CDF(loss)^beta with beta = M/m,
@@ -27,7 +29,6 @@ must agree with is ``selbp.oracles.omp_dense_oracle``.
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,6 @@ import numpy as np
 from .errors import DimensionMismatch, EmptySelection
 
 logger = logging.getLogger(__name__)
-
-STRATEGY_KINDS = ("random", "loss_based", "grad_match")
-CDF_SOURCES = ("within_batch", "rolling_buffer")
 
 # Pivot threshold relative to the new atom's self-inner-product.
 PIVOT_TOL = 1e-12
@@ -51,19 +49,19 @@ class Selection:
     weights: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp).reshape(-1)
+        idx = np.asarray(self.indices).reshape(-1)
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if idx.shape[0] != w.shape[0]:
-            raise DimensionMismatch(
-                f"{idx.shape[0]} indices but {w.shape[0]} weights"
-            )
+            raise DimensionMismatch(f"{idx.shape[0]} indices but {w.shape[0]} weights")
         if idx.shape[0] == 0:
             raise EmptySelection("a Selection must contain at least one index")
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise TypeError(f"selection indices must be integers, got {idx.dtype}")
         if len(np.unique(idx)) != idx.shape[0]:
             raise ValueError("selection indices must be distinct")
         if (idx < 0).any():
             raise ValueError("selection indices must be non-negative")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(np.intp, copy=False))
         object.__setattr__(self, "weights", w)
 
     @property
@@ -77,29 +75,6 @@ def check_subset_size(m, M):
         raise DimensionMismatch("subset size m must be >= 1")
     if m > M:
         raise DimensionMismatch(f"m {m} exceeds batch size {M}")
-
-
-@dataclass
-class StrategyConfig:
-    """Read by ``selbp.trainer.select_subset`` alone; nothing reads ``fraction``."""
-
-    kind: str = "random"
-    fraction: float = 0.5
-    cdf_source: str = "within_batch"
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if not 0 < self.fraction <= 1:
-            raise DimensionMismatch(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.cdf_source not in CDF_SOURCES:
-            raise ValueError(f"unknown cdf_source {self.cdf_source!r}")
-
-
-def loss_history(M):
-    """The rolling-buffer CDF's reference: the latest ``8 * M`` losses, eight
-    forward batches of ``M`` rows."""
-    return deque(maxlen=8 * M)
 
 
 @dataclass(frozen=True)
@@ -184,18 +159,16 @@ def empirical_cdf(losses, reference):
     return counts / reference.shape[0]
 
 
-def select_loss_based(losses, m, buffer, rng):
+def select_loss_based(losses, m, reference, rng):
     """Keep-probability CDF(l)^beta with beta = M/m, drawn as exactly m indices.
 
     Uses exponential-key weighted sampling without replacement (keys
     Exp(1)/p_i, smallest m win) so every call returns exactly m distinct
-    indices. ``buffer`` is a :func:`loss_history` or None. Given one, the CDF
-    reference is its contents, and the M fresh losses are appended afterward,
-    evicting the oldest. With None, while the buffer is empty, or when no loss
-    has a positive keep probability against it (a batch wholly below it), the
-    batch is ranked within itself, so its largest loss has keep probability 1.
-    Rows of keep probability zero (key inf) fill what the others leave of the
-    m in order of their Exp(1) draws, uniformly at random.
+    indices. The CDF ranks against ``reference``, losses it only reads. With
+    None or none, or when no loss has a positive keep probability against
+    them (a batch wholly below them), the batch ranks within itself, so
+    its largest loss has keep probability 1. Rows of keep probability zero
+    (key inf) fill the rest of the m by their Exp(1) draws, uniformly at random.
     """
     losses = np.asarray(losses, dtype=np.float64).reshape(-1)
     M = losses.shape[0]
@@ -204,16 +177,14 @@ def select_loss_based(losses, m, buffer, rng):
         raise ValueError("losses contain non-finite entries")
 
     beta = M / m
-    p = empirical_cdf(losses, np.array(buffer)) ** beta if buffer else None
+    ranked = reference is not None and len(reference) > 0
+    p = empirical_cdf(losses, reference) ** beta if ranked else None
     if p is None or not p.any():
         p = empirical_cdf(losses, losses) ** beta
 
     draws = rng.exponential(size=M)
     with np.errstate(divide="ignore"):  # p = 0 gives the key inf
         idx = np.sort(np.lexsort((draws, draws / p))[:m])
-
-    if buffer is not None:
-        buffer.extend(losses)
     return Selection(idx, np.ones(m))
 
 

@@ -4,21 +4,25 @@ Epochs are counted by forward-pass coverage of the training set, so the
 number of backpropagated points drops by the subsampling fraction. Cost is
 accounted in abstract units where a forward pass costs 1/3 per example and
 a forward+backward pass costs 1, giving M/3 + m per selective step against
-M for a full-batch step.
+M for a full-batch step. :class:`StrategyConfig` and the rolling loss history
+live beside :func:`select_subset`, their one reader.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DimensionMismatch, TrainingDiverged
 from .model import accuracy, forward_tape, gram_implicit, weighted_backward
-from .selection import (Selection, check_subset_size, loss_history, select_grad_match,
-                        select_loss_based, select_random)
+from .selection import (Selection, check_subset_size, select_grad_match, select_loss_based,
+                        select_random)
 
 SCHEDULES = ("constant", "step", "cosine")
 BATCH_MODES = ("fixed", "scaled")
+STRATEGY_KINDS = ("random", "loss_based", "grad_match")
+CDF_SOURCES = ("within_batch", "rolling_buffer")
 
 
 @dataclass
@@ -159,24 +163,52 @@ def sgd_update(theta, velocity, grad, lr, momentum=0.0, nesterov=False):
     return theta, velocity
 
 
-def select_subset(strategy, tape, m, buffer, rng):
+@dataclass
+class StrategyConfig:
+    """Read by :func:`select_subset` alone; nothing reads ``fraction``."""
+
+    kind: str = "random"
+    fraction: float = 0.5
+    cdf_source: str = "within_batch"
+
+    def __post_init__(self):
+        if self.kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if not 0 < self.fraction <= 1:
+            raise DimensionMismatch(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.cdf_source not in CDF_SOURCES:
+            raise ValueError(f"unknown cdf_source {self.cdf_source!r}")
+
+
+def loss_history(M):
+    """The rolling-buffer CDF's reference: the latest ``8 * M`` losses, eight
+    forward batches of ``M`` rows."""
+    return deque(maxlen=8 * M)
+
+
+def select_subset(strategy, tape, m, history, rng):
     """The one strategy dispatch and the one reader of a StrategyConfig: ``m``
     rows of the tape's batch chosen by ``strategy.kind``, for training and for
-    the gradient-error experiment alike. ``select_loss_based`` gets (and
-    extends) ``buffer`` only when ``cdf_source`` is ``rolling_buffer``.
+    the gradient-error experiment alike. ``history``, a :func:`loss_history`,
+    is read and extended here alone: ``rolling_buffer`` ranks the batch against
+    its losses (within itself while there are none), then appends the batch's.
 
     At ``m >= M`` the step is full-batch: the identity selection, drawing no
-    randomness and reading no strategy. The strategy functions are called by
-    their names in this module, which is where the benchmark's tracer wraps them.
+    randomness, reading no strategy and leaving the history as it is. The
+    strategy functions are called by their names in this module, which is
+    where the benchmark's tracer wraps them.
     """
     if m >= tape.M:
         return Selection(np.arange(tape.M), np.ones(tape.M))
     if strategy.kind == "random":
         return select_random(tape.M, m, rng)
-    if strategy.kind == "loss_based":
-        history = buffer if strategy.cdf_source == "rolling_buffer" else None
-        return select_loss_based(tape.losses, m, history, rng)
-    return select_grad_match(gram_implicit(tape), m, rng)
+    if strategy.kind == "grad_match":
+        return select_grad_match(gram_implicit(tape), m, rng)
+    if strategy.cdf_source == "within_batch":
+        return select_loss_based(tape.losses, m, None, rng)
+    sel = select_loss_based(tape.losses, m, np.array(history), rng)
+    history.extend(tape.losses)
+    return sel
 
 
 def run_training(cfg, strategy, dataset, model):
@@ -199,7 +231,7 @@ def run_training(cfg, strategy, dataset, model):
         )
     y = apply_label_noise(y, cfg.label_noise, dataset.num_classes, rng)
 
-    buffer = loss_history(M)
+    history = loss_history(M)
     theta = model.get_params()
     model.set_params(theta)  # the model now reads theta, which sgd_update moves
     velocity = np.zeros_like(theta)
@@ -224,7 +256,7 @@ def run_training(cfg, strategy, dataset, model):
                     tape = forward_tape(model, Xb, yb)
                     loss_sum += tape.losses.sum()
 
-                    sel = select_subset(strategy, tape, subset_size(cfg.fraction, Mb), buffer, rng)
+                    sel = select_subset(strategy, tape, subset_size(cfg.fraction, Mb), history, rng)
                     grad = weighted_backward(model, Xb, yb, sel, tape=tape)
                     if cfg.weight_decay:
                         grad = grad + cfg.weight_decay * theta

@@ -13,8 +13,7 @@ import pytest
 from selbp.data import DatasetDescriptor, build_dataset
 from selbp.evalgrad import gradient_error_experiment
 from selbp.model import Mlp
-from selbp.selection import StrategyConfig
-from selbp.trainer import TrainConfig, run_training
+from selbp.trainer import StrategyConfig, TrainConfig, run_training
 
 LAYERS_PY = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 

@@ -19,7 +19,7 @@ from selbp.config import (
 )
 from selbp.data import DatasetDescriptor
 from selbp.errors import ParseError
-from selbp.selection import StrategyConfig
+from selbp.trainer import StrategyConfig
 
 MINIMAL = "dataset.kind = blobs\nstrategy.kinds = random\n"
 

@@ -133,8 +133,8 @@ import numpy as np
 import selbp, selbp.cli
 from selbp.data import DatasetDescriptor, build_dataset
 from selbp.model import Mlp
-from selbp.selection import OmpConfig, StrategyConfig, omp_gram
-from selbp.trainer import TrainConfig, run_training
+from selbp.selection import OmpConfig, omp_gram
+from selbp.trainer import StrategyConfig, TrainConfig, run_training
 
 omp_gram(np.eye(3), np.ones(3), OmpConfig(max_atoms=2))
 ds = build_dataset(DatasetDescriptor(kind="blobs", n=60, seed=1))

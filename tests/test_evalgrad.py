@@ -15,9 +15,9 @@ from selbp.evalgrad import (
     gradient_error_experiment,
 )
 from selbp.model import Mlp, per_example_grads
-from selbp.selection import (OmpConfig, StrategyConfig, omp_gram, select_grad_match,
-                             select_loss_based, select_random)
-from selbp.trainer import TrainConfig, cost_units, run_training
+from selbp.selection import (OmpConfig, omp_gram, select_grad_match, select_loss_based,
+                             select_random)
+from selbp.trainer import StrategyConfig, TrainConfig, cost_units, run_training
 
 
 def toy_problem(seed=0, N=64, d=3, classes=3, hidden=8):
@@ -110,25 +110,25 @@ def test_a_none_entry_under_any_name_keeps_the_whole_batch():
 def test_loss_history_holds_eight_forward_batches(monkeypatch, batch_mode, base_batch):
     # Training and the experiment both rank losses against the latest 8 * M,
     # M the forward batch: 8 * 64 in both modes (scaled: 16 / 0.25 = 64 rows).
-    select = selbp.trainer.select_loss_based
-    maxlens = []
+    make = selbp.trainer.loss_history
+    histories = []
 
-    def spy(losses, m, buffer, rng):
-        maxlens.append(buffer.maxlen)
-        return select(losses, m, buffer, rng)
+    def spy(M):
+        histories.append(make(M))
+        return histories[-1]
 
-    monkeypatch.setattr(selbp.trainer, "select_loss_based", spy)
+    for module in (selbp.trainer, selbp.evalgrad):
+        monkeypatch.setattr(module, "loss_history", spy)
     strategy = StrategyConfig(kind="loss_based", fraction=0.25, cdf_source="rolling_buffer")
     cfg = TrainConfig(base_batch=base_batch, fraction=0.25, batch_mode=batch_mode,
                       epochs=1, base_lr=0.05, seed=1)
     ds = synth_blobs(DatasetDescriptor(kind="blobs", n=200, classes=3, dim=3, seed=2))
     run_training(cfg, strategy, ds, Mlp.init([3, 8, 3], seed=3))
-    trained = len(maxlens)
     model, X, y = toy_problem(N=128)
     gradient_error_experiment(model, X, y, {"loss_based": strategy}, num_batches=2,
                               M=64, m=16, seed=6)
-    assert trained == 3 and len(maxlens) == 5  # batches of 64, 64 and 32; then 2
-    assert set(maxlens) == {8 * 64}
+    assert [len(h) for h in histories] == [160, 128]  # batches of 64, 64 and 32; then 2
+    assert {h.maxlen for h in histories} == {8 * 64}
 
 
 def test_paired_batches_across_strategies():

@@ -246,6 +246,9 @@ def test_param_roundtrip_and_validation():
     for label in (-1, 3):  # three classes
         with pytest.raises(DimensionMismatch, match="label outside"):
             forward_tape(model, np.zeros((3, 2)), np.array([0, label, 0]))
+    for labels in (np.array([0.0, 1.9, 2.0]), np.array([True, False, True])):
+        with pytest.raises(TypeError, match="labels must be integers"):
+            forward_tape(model, np.zeros((3, 2)), labels)
 
 
 @pytest.mark.parametrize("sizes", [[2, 0, 3], [0, 4, 3], [2, 4, 0]])

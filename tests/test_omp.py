@@ -266,3 +266,7 @@ def test_input_validation():
         Selection([0, 1], [1.0])
     with pytest.raises(ValueError, match="non-negative"):
         Selection([2, -1], [1.0, 1.0])
+    # Neither truncated floats nor a boolean mask's 0 and 1 pass as indices.
+    for indices in (np.array([0.7, 1.9]), [True, False]):
+        with pytest.raises(TypeError, match="must be integers"):
+            Selection(indices, np.ones(2))

@@ -12,14 +12,15 @@ from selbp.model import BatchTape, Mlp, forward_tape, gram_implicit, weighted_ba
 from selbp.selection import (
     OmpConfig,
     Selection,
-    StrategyConfig,
     empirical_cdf,
-    loss_history,
     omp_gram,
     select_grad_match,
     select_loss_based,
     select_random,
 )
+from selbp.trainer import StrategyConfig, loss_history, select_subset
+
+ROLLING = StrategyConfig(kind="loss_based", cdf_source="rolling_buffer")
 
 
 def inclusion_freq(draws, M):
@@ -37,6 +38,12 @@ def gumbel_top_m_freq(p, m, n_draws, rng):
         keys = np.log(p) + rng.gumbel(size=M)
         counts[np.argpartition(-keys, m - 1)[:m]] += 1
     return counts / n_draws
+
+
+def loss_tape(losses):
+    """A hand-built tape carrying only what loss_based reads, the losses."""
+    M = len(losses)
+    return BatchTape(H=np.zeros((M, 1)), P=np.zeros((M, 1)), losses=losses)
 
 
 # ---------------------------------------------------------------- random
@@ -156,47 +163,66 @@ def test_loss_based_uniform_under_equal_losses():
 
 
 def test_loss_based_rolling_buffer_fills_and_is_used():
-    buffer = deque(maxlen=16)
+    history = deque(maxlen=16)
     rng = np.random.default_rng(7)
     first = np.array([1.0, 2.0, 3.0, 4.0])
-    select_loss_based(first, 2, buffer, rng)
-    np.testing.assert_array_equal(np.array(buffer), first)
+    select_subset(ROLLING, loss_tape(first), 2, history, rng)
+    np.testing.assert_array_equal(np.array(history), first)
     # Second batch ranks against the buffered reference, not itself.
     second = np.array([0.5, 10.0, 0.1, 0.2])
     cdf_vs_buffer = empirical_cdf(second, first)
     assert cdf_vs_buffer[1] == 1.0 and cdf_vs_buffer[2] == 0.0
-    select_loss_based(second, 2, buffer, rng)
-    assert len(buffer) == 8
+    sel = select_subset(ROLLING, loss_tape(second), 2, history, np.random.default_rng(8))
+    against = select_loss_based(second, 2, first, np.random.default_rng(8))
+    np.testing.assert_array_equal(sel.indices, against.indices)
+    assert len(history) == 8
 
 
 def test_loss_buffer_evicts_fifo():
-    buffer = deque(maxlen=3)
+    history = deque(maxlen=3)
     rng = np.random.default_rng(10)
-    select_loss_based(np.array([1.0, 2.0]), 1, buffer, rng)
-    select_loss_based(np.array([3.0, 4.0]), 1, buffer, rng)
-    np.testing.assert_array_equal(np.array(buffer), [2.0, 3.0, 4.0])
+    select_subset(ROLLING, loss_tape([1.0, 2.0]), 1, history, rng)
+    select_subset(ROLLING, loss_tape([3.0, 4.0]), 1, history, rng)
+    np.testing.assert_array_equal(np.array(history), [2.0, 3.0, 4.0])
 
 
 def test_loss_based_batch_below_the_buffer_ranks_within_itself():
     # Every loss lies below the whole buffer, so none has a positive keep
     # probability against it: the batch is ranked within itself instead.
-    buffer = deque([5.0, 6.0, 7.0, 8.0], maxlen=32)
+    history = deque([5.0, 6.0, 7.0, 8.0], maxlen=32)
     losses = np.array([1.0, 2.0, 3.0, 4.0])
-    sel = select_loss_based(losses, 1, buffer, np.random.default_rng(11))
+    sel = select_subset(ROLLING, loss_tape(losses), 1, history, np.random.default_rng(11))
     within = select_loss_based(losses, 1, None, np.random.default_rng(11))
     assert sel.size == 1
     np.testing.assert_array_equal(sel.indices, within.indices)
-    np.testing.assert_array_equal(np.array(buffer), [5.0, 6.0, 7.0, 8.0, *losses])
+    np.testing.assert_array_equal(np.array(history), [5.0, 6.0, 7.0, 8.0, *losses])
+
+
+def test_loss_based_only_reads_its_reference():
+    # The same reference as a deque, a list and an array ranks alike, and
+    # select_loss_based leaves the deque and the losses as they were. An
+    # empty reference of any kind ranks the batch within itself, as None does.
+    losses = np.linspace(0.1, 1.6, 16)
+    reference = deque([0.5, 0.9, 1.2], maxlen=8)
+    picks = [select_loss_based(losses, 4, ref, np.random.default_rng(14)).indices
+             for ref in (reference, list(reference), np.array(reference))]
+    for indices in picks[1:]:
+        np.testing.assert_array_equal(indices, picks[0])
+    assert list(reference) == [0.5, 0.9, 1.2]
+    np.testing.assert_array_equal(losses, np.linspace(0.1, 1.6, 16))
+    within = select_loss_based(losses, 4, None, np.random.default_rng(15)).indices
+    for empty in (deque(), [], np.array([])):
+        sel = select_loss_based(losses, 4, empty, np.random.default_rng(15))
+        np.testing.assert_array_equal(sel.indices, within)
 
 
 def test_loss_based_fills_zero_probability_rows_by_their_draws():
-    # Only rows 3 and 11 have a positive keep probability against the buffer;
+    # Only rows 3 and 11 have a positive keep probability against the reference;
     # the other two of m = 4 are the zero-probability rows with the smallest
     # Exp(1) draws, so they are uniform at random and not numpy's partition order.
     losses = np.linspace(0.1, 1.6, 16)
     losses[[3, 11]] = [6.0, 7.0]
-    buffer = deque([5.0, 8.0], maxlen=128)
-    sel = select_loss_based(losses, 4, buffer, np.random.default_rng(13))
+    sel = select_loss_based(losses, 4, [5.0, 8.0], np.random.default_rng(13))
     draws = np.random.default_rng(13).exponential(size=16)
     zero = np.setdiff1d(np.arange(16), [3, 11])
     fill = zero[np.argsort(draws[zero])[:2]]
@@ -219,8 +245,9 @@ def test_loss_based_rolling_buffer_property(history, batch, below, data, seed):
     m = data.draw(st.integers(1, M), label="m")
     buffer = loss_history(M)
     buffer.extend(history)
-    expected_buffer = [*buffer, *losses][-8 * M:]
-    sel = select_loss_based(losses, m, buffer, np.random.default_rng(seed))
+    # At m = M the step is full-batch and leaves the history untouched.
+    expected_buffer = [*buffer, *losses][-8 * M:] if m < M else list(buffer)
+    sel = select_subset(ROLLING, loss_tape(losses), m, buffer, np.random.default_rng(seed))
     assert sel.size == m and np.unique(sel.indices).size == m
     assert 0 <= sel.indices.min() and sel.indices.max() < M
     np.testing.assert_array_equal(sel.weights, np.ones(m))

@@ -12,14 +12,17 @@ from selbp.cli import write_csv
 from selbp.data import DatasetDescriptor, synth_blobs
 from selbp.errors import DimensionMismatch, TrainingDiverged
 from selbp.model import Mlp, forward_tape
-from selbp.selection import CDF_SOURCES, StrategyConfig, loss_history, select_loss_based
+from selbp.selection import select_loss_based
 from selbp.trainer import (
     BATCH_MODES,
+    CDF_SOURCES,
     METRICS_FIELDS,
+    StrategyConfig,
     TrainConfig,
     apply_label_noise,
     cost_units,
     forward_batch,
+    loss_history,
     lr_at,
     run_training,
     select_subset,
@@ -343,9 +346,9 @@ def test_rolling_buffer_run_survives_a_batch_below_the_buffer(monkeypatch):
     real = selbp.trainer.select_loss_based
     below = []
 
-    def watch(losses, m, buffer, rng):
-        below.append(bool(buffer) and losses.max() < min(buffer))
-        return real(losses, m, buffer, rng)
+    def watch(losses, m, reference, rng):
+        below.append(reference.size > 0 and losses.max() < reference.min())
+        return real(losses, m, reference, rng)
 
     monkeypatch.setattr(selbp.trainer, "select_loss_based", watch)
     cfg = TrainConfig(base_batch=2, fraction=0.5, epochs=2, base_lr=0.05, seed=0)
@@ -361,12 +364,17 @@ def test_select_subset_hands_the_loss_history_to_a_rolling_buffer_alone(cdf_sour
     history = loss_history(16)
     history.extend(np.linspace(0.0, 2.0, 32))
     rolling = cdf_source == "rolling_buffer"
-    reference = history.copy() if rolling else None
-    sel = select_subset(StrategyConfig(kind="loss_based", cdf_source=cdf_source), tape, 4,
-                        history, np.random.default_rng(5))
+    reference = np.array(history) if rolling else None
+    strategy = StrategyConfig(kind="loss_based", cdf_source=cdf_source)
+    sel = select_subset(strategy, tape, 4, history, np.random.default_rng(5))
     expected = select_loss_based(tape.losses, 4, reference, np.random.default_rng(5))
     np.testing.assert_array_equal(sel.indices, expected.indices)
     assert len(history) == 32 + 16 * rolling  # extended exactly when read
+    # At m = M the step is full-batch: the history is neither read nor extended.
+    before = list(history)
+    full = select_subset(strategy, tape, 16, history, np.random.default_rng(5))
+    np.testing.assert_array_equal(full.indices, np.arange(16))
+    assert list(history) == before
 
 
 def test_divergence_raises_with_diagnostic_record():
